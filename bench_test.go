@@ -286,7 +286,7 @@ func BenchmarkLargeReplayMemory(b *testing.B) {
 
 	b.Run("FileSource", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			src, err := trace.OpenFileSource(path)
+			src, err := trace.OpenTrace(path)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -398,7 +398,7 @@ func BenchmarkDeltaSweep(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	src, err := trace.OpenFileSource(path)
+	src, err := trace.OpenTrace(path)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -694,7 +694,7 @@ func BenchmarkIncrementalResume(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	baseSrc, err := trace.OpenFileSource(basePath)
+	baseSrc, err := trace.OpenTrace(basePath)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -746,7 +746,7 @@ func BenchmarkIncrementalResume(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			extSrc, err := trace.OpenFileSource(extPath)
+			extSrc, err := trace.OpenTrace(extPath)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -849,7 +849,7 @@ func BenchmarkStorage(b *testing.B) {
 	b.Logf("container bytes: flat %d, segmented %d (%.1f%% of flat)",
 		flatInfo.Size(), segInfo.Size(), 100*float64(segInfo.Size())/float64(flatInfo.Size()))
 
-	flatSrc, err := trace.OpenFileSource(flatPath)
+	flatSrc, err := trace.OpenTrace(flatPath)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1079,7 +1079,7 @@ func BenchmarkParallelReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	src, err := trace.OpenFileSource(path)
+	src, err := trace.OpenTrace(path)
 	if err != nil {
 		b.Fatal(err)
 	}

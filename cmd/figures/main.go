@@ -105,11 +105,11 @@ func main() {
 
 	var src trace.MetaSource
 	if *tracePath != "" {
-		fs, err := trace.OpenFileSource(*tracePath)
+		tf, err := trace.OpenTrace(*tracePath)
 		if err != nil {
 			log.Fatalf("open trace: %v", err)
 		}
-		src = fs
+		src = tf
 	} else {
 		tr, err := gen.Generate(genConfig())
 		if err != nil {

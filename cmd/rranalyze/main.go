@@ -240,8 +240,12 @@ func printInfo(src trace.MetaSource, path, ckptDir string) {
 	fmt.Printf("trace %s\n", path)
 	fmt.Printf("  days %d, nodes %d (%d xiaonei / %d 5q / %d new), edges %d, merge day %d, seed %d\n",
 		meta.Days, meta.Nodes, meta.Xiaonei, meta.FiveQ, meta.NewUsers, meta.Edges, meta.MergeDay, meta.Seed)
-	if sf, ok := src.(interface{ Stats() trace.SegStats }); ok {
-		s := sf.Stats()
+	var s trace.SegStats
+	seg := false
+	if fs, ok := src.(*trace.FileSource); ok {
+		s, seg = fs.Stats()
+	}
+	if seg {
 		ratio := 0.0
 		if s.RawBytes > 0 {
 			ratio = 100 * float64(s.CompressedBytes) / float64(s.RawBytes)

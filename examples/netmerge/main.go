@@ -46,7 +46,7 @@ func run() error {
 	// Stream-replay: the trace is validated and analyzed straight off
 	// disk through FileSource cursors, and the demand-driven plan for the
 	// §5 panels runs only the osnmerge stage.
-	src, err := trace.OpenFileSource(path)
+	src, err := trace.OpenTrace(path)
 	if err != nil {
 		return err
 	}

@@ -32,7 +32,7 @@ func resumeTestConfig(dir string) Config {
 
 // encodeTrace streams tr to a trace file (day index included) and opens
 // it, so resume exercises the real OpenAt path.
-func encodeTrace(t *testing.T, tr *trace.Trace, path string) *trace.FileSource {
+func encodeTrace(t *testing.T, tr *trace.Trace, path string) trace.TraceFile {
 	t.Helper()
 	f, err := os.Create(path)
 	if err != nil {
@@ -55,7 +55,7 @@ func encodeTrace(t *testing.T, tr *trace.Trace, path string) *trace.FileSource {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := trace.OpenFileSource(path)
+	fs, err := trace.OpenTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}

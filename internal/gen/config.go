@@ -227,7 +227,7 @@ func DefaultConfig() Config {
 // 771-day Renren+5Q shape with the arrival processes scaled ~10×. At this
 // size the event stream (~10⁷ events) stops fitting comfortably next to
 // the analyses, which is exactly what the streaming data plane is for:
-// generate with GenerateToFile, replay with trace.OpenFileSource, and the
+// generate with GenerateToFile, replay with trace.OpenTrace, and the
 // only O(events) artifact is the file (see DESIGN.md §4).
 func LargeConfig() Config {
 	c := DefaultConfig()

@@ -59,7 +59,7 @@ func TestGenerateToFileRoundTrip(t *testing.T) {
 		t.Fatalf("meta: file %+v != slice %+v", meta, tr.Meta)
 	}
 
-	fs, err := trace.OpenFileSource(path)
+	fs, err := trace.OpenTrace(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func BenchmarkIngest(b *testing.B) {
 		b.Fatal(err)
 	}
 	byDay := make(map[int32][]trace.Event)
-	fsrc, err := trace.OpenFileSource(full)
+	fsrc, err := trace.OpenTrace(full)
 	if err != nil {
 		b.Fatal(err)
 	}

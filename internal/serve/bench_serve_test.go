@@ -143,7 +143,7 @@ func BenchmarkServe(b *testing.B) {
 		cfg := serveTestConfig()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			src, err := trace.OpenFileSource(fxBase)
+			src, err := trace.OpenTrace(fxBase)
 			if err != nil {
 				b.Fatal(err)
 			}

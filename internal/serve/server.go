@@ -593,8 +593,12 @@ func memoryStats() any {
 func (s *Server) storageStats() any {
 	out := map[string]any{}
 	if snap := s.snap.Load(); snap != nil {
-		if sf, ok := snap.Src.(interface{ Stats() trace.SegStats }); ok {
-			st := sf.Stats()
+		var st trace.SegStats
+		seg := false
+		if fs, ok := snap.Src.(*trace.FileSource); ok {
+			st, seg = fs.Stats()
+		}
+		if seg {
 			ratio := 0.0
 			if st.RawBytes > 0 {
 				ratio = float64(st.CompressedBytes) / float64(st.RawBytes)

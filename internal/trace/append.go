@@ -21,32 +21,37 @@ var ErrNotAppendable = errors.New("trace: file is not appendable")
 // 2-byte uvarint of encMetaPad, the padded meta slot, the padded count.
 const fixedHeaderLen = len(magic) + 2 + encMetaPad + encCountPad
 
-// parseFixedHeader decodes the streaming Encoder's fixed-width header
-// from hdr. It rejects the one-shot Encode layout (whose meta length is
-// the JSON's exact size, not encMetaPad) and a poisoned count slot.
-func parseFixedHeader(hdr []byte) (meta Meta, count uint64, err error) {
-	if len(hdr) < fixedHeaderLen {
-		return meta, 0, fmt.Errorf("%w: %d-byte file is shorter than a finalized header", ErrNotAppendable, len(hdr))
+// parseFixedHeader decodes the fixed-width header the streaming encoders
+// write — flat and RRS1 share the layout; mag names the container. It
+// rejects the one-shot Encode layout, whose meta length is the JSON's
+// exact size, not encMetaPad. finalized=false with a nil error means the
+// count slot is still poisoned: the writer has not reached Close.
+func parseFixedHeader(hdr []byte, mag [4]byte) (meta Meta, count uint64, finalized bool, err error) {
+	if len(hdr) < len(mag) {
+		return meta, 0, false, io.ErrUnexpectedEOF
 	}
-	if [4]byte(hdr[:4]) != magic {
-		return meta, 0, ErrBadMagic
+	if [4]byte(hdr[:4]) != mag {
+		return meta, 0, false, ErrBadMagic
+	}
+	if len(hdr) < fixedHeaderLen {
+		return meta, 0, false, fmt.Errorf("trace: %d-byte file is shorter than a fixed header", len(hdr))
 	}
 	metaLen, n := binary.Uvarint(hdr[4:])
 	if n <= 0 || metaLen != encMetaPad {
-		return meta, 0, fmt.Errorf("%w: header meta slot is not the fixed-width encoder layout", ErrNotAppendable)
+		return meta, 0, false, errors.New("trace: header meta slot is not the fixed-width encoder layout")
 	}
 	metaStart := 4 + n
 	if err := json.Unmarshal(bytes.TrimRight(hdr[metaStart:metaStart+encMetaPad], " "), &meta); err != nil {
-		return meta, 0, fmt.Errorf("trace: bad meta: %w", err)
+		return meta, 0, false, fmt.Errorf("trace: bad meta: %w", err)
 	}
 	count, err = binary.ReadUvarint(bytes.NewReader(hdr[metaStart+encMetaPad : fixedHeaderLen]))
 	if err != nil {
-		return meta, 0, fmt.Errorf("%w: count slot is not finalized (writer crashed before Close?)", ErrNotAppendable)
+		return meta, 0, false, nil
 	}
 	if count > maxEventCount {
-		return meta, 0, fmt.Errorf("%w: %d events", ErrCountTooLarge, count)
+		return meta, 0, false, fmt.Errorf("%w: %d events", ErrCountTooLarge, count)
 	}
-	return meta, count, nil
+	return meta, count, true, nil
 }
 
 // OpenAppend reopens a finalized streaming-Encoder file for in-place
@@ -74,51 +79,35 @@ func OpenAppend(f *os.File) (*Encoder, error) {
 	if [4]byte(hdr[:4]) == segMagic {
 		return nil, fmt.Errorf("%w: segmented (compressed) traces cannot be extended in place; regenerate, or write a fresh segmented trace and tail it", ErrNotAppendable)
 	}
-	meta, count, err := parseFixedHeader(hdr)
+	meta, count, finalized, err := parseFixedHeader(hdr, magic)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrNotAppendable, err)
+	}
+	if !finalized {
+		return nil, fmt.Errorf("%w: count slot is not finalized (writer crashed before Close?)", ErrNotAppendable)
+	}
+	fi, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
 
-	idx, eventsEnd := readDayIndexOff(f, count)
+	_, idx, eventsEnd := readTrailer(f, fi.Size(), false)
 	prevDay := int32(0)
-	if idx != nil {
+	if n := len(idx); n > 0 {
 		// The index's last entry marks the first event of the final day;
 		// every event after it shares that day.
-		if len(idx) > 0 {
-			prevDay = idx[len(idx)-1].Day
-		}
-	} else {
+		prevDay = idx[n-1].Day
+	}
+	if idx == nil || (len(idx) > 0 && idx[len(idx)-1].Event >= count) {
 		// No (valid) footer: one decode pass rebuilds the index and finds
 		// the stream's end.
-		if _, err := f.Seek(int64(fixedHeaderLen), io.SeekStart); err != nil {
-			return nil, err
+		fr := newFrontier(int64(fixedHeaderLen))
+		if err := fr.scan(io.NewSectionReader(f, fr.cur.off, fi.Size()-fr.cur.off), count); err != nil {
+			return nil, fmt.Errorf("%w: rebuilding index: %v", ErrNotAppendable, err)
 		}
-		cr := &countingReader{r: f}
-		br := bufio.NewReader(cr)
-		dec := resumeDecoder(br, meta, count, 0)
-		off := int64(fixedHeaderLen)
-		var n uint64
-		for {
-			ev, ok, err := dec.Next()
-			if err != nil {
-				return nil, fmt.Errorf("%w: rebuilding index: %v", ErrNotAppendable, err)
-			}
-			if !ok {
-				break
-			}
-			if n == 0 || ev.Day > prevDay {
-				idx = append(idx, DayIndexEntry{Day: ev.Day, Offset: off, Event: n, PrevDay: prevDay})
-			}
-			off = int64(fixedHeaderLen) + cr.n - int64(br.Buffered())
-			prevDay = ev.Day
-			n++
-		}
-		eventsEnd = off
+		idx, eventsEnd, prevDay = fr.index, fr.cur.off, fr.curDay
 	}
 
-	if eventsEnd < int64(fixedHeaderLen) {
-		return nil, fmt.Errorf("%w: event stream ends inside the header", ErrNotAppendable)
-	}
 	if err := f.Truncate(eventsEnd); err != nil {
 		return nil, err
 	}

@@ -133,7 +133,11 @@ func TestOpenAppendWithoutFooter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, footOff := readDayIndexOff(f, maxEventCount)
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, footOff := readTrailer(f, fi.Size(), false)
 	if footOff < 0 {
 		t.Fatal("prefix file has no footer")
 	}

@@ -94,7 +94,7 @@ func TestSegRepeatOpenServesFromCache(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.rrs")
 	encodeSegToFile(t, tr, path, true)
 
-	src, err := OpenSegFileSource(path)
+	src, err := openFileSource(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestSegRepeatOpenAtInflatesLess(t *testing.T) {
 	tr := synthTrace(4000)
 	path := filepath.Join(t.TempDir(), "openat.rrs")
 	encodeSegToFile(t, tr, path, true)
-	src, err := OpenSegFileSource(path)
+	src, err := openFileSource(path)
 	if err != nil {
 		t.Fatal(err)
 	}

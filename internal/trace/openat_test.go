@@ -54,7 +54,7 @@ func TestFileSourceOpenAt(t *testing.T) {
 	tr := synthTrace(400)
 	path := filepath.Join(t.TempDir(), "idx.trace")
 	encodeToFile(t, tr, path)
-	fs, err := OpenFileSource(path)
+	fs, err := openFileSource(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestOpenAtIndexless(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := OpenFileSource(path)
+	fs, err := openFileSource(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestCorruptIndexReadsAsAbsent(t *testing.T) {
 		if err := os.WriteFile(path, mut, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		fs, err := OpenFileSource(path)
+		fs, err := openFileSource(path)
 		if err != nil {
 			t.Fatalf("offset %d: corrupt index broke open: %v", off, err)
 		}
@@ -184,7 +184,7 @@ func TestEventsThrough(t *testing.T) {
 	tr := synthTrace(120)
 	path := filepath.Join(t.TempDir(), "n.trace")
 	encodeToFile(t, tr, path)
-	fs, err := OpenFileSource(path)
+	fs, err := openFileSource(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,6 +150,34 @@ func TestSegTailProbeLiveWriter(t *testing.T) {
 	if snap.Meta != tr.Meta {
 		t.Fatalf("finalized meta %+v, want %+v", snap.Meta, tr.Meta)
 	}
+
+	// A sealed prefix's source holds only the frames that start before
+	// the seal. With frames flushed after days 3, 4 and 5 the probe seals
+	// through day 4 — 39 events, 156 raw bytes, in the first two frames —
+	// and the frame holding the unsealed day 5 is not part of it.
+	path = filepath.Join(t.TempDir(), "sealed.seg")
+	g, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	if enc, err = NewSegEncoder(g); err != nil {
+		t.Fatal(err)
+	}
+	i = 0
+	for _, day := range []int32{3, 4, 5} {
+		writeThrough(day)
+	}
+	if snap, err = NewTailProbe(path).Probe(); err != nil {
+		t.Fatal(err)
+	}
+	if snap.SealedDay != 4 || snap.Events != 39 || snap.EndOffset != 156 {
+		t.Fatalf("sealed through day 4: %+v", snap)
+	}
+	st, ok := snap.Source().(*FileSource).Stats()
+	if !ok || st.Segments != 2 || st.RawBytes != 156 || st.Events != 39 || !st.Indexed {
+		t.Fatalf("sealed source stats = %+v (segmented %v), want 2 segments, 156 raw bytes, 39 events", st, ok)
+	}
 }
 
 // TestSegTailProbeTrustedFinalized: the first probe of an

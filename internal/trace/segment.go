@@ -1,11 +1,9 @@
 package trace
 
 import (
-	"bufio"
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -633,17 +631,12 @@ func parseSegFooter(b []byte) ([]segEntry, []DayIndexEntry, error) {
 			rawStart:   rawStart,
 			events:     vs[2],
 			firstEvent: firstEvent,
+			firstDay:   int32(vs[3]),
+			lastDay:    int32(vs[4]),
+			prevDay:    int32(vs[5]),
 		}
-		if vs[0] == 0 || vs[0] > maxSegFrameLen || vs[1] == 0 || vs[1] > maxSegFrameLen ||
-			vs[2] == 0 || vs[2] > vs[1] ||
-			vs[3] > math.MaxInt32 || vs[4] > math.MaxInt32 || vs[5] > math.MaxInt32 {
+		if vs[2] > vs[1] || max(vs[3], vs[4], vs[5]) > math.MaxInt32 || !s.plausible(prevLast) {
 			return nil, nil, errors.New("trace: segment footer entry out of range")
-		}
-		s.firstDay, s.lastDay, s.prevDay = int32(vs[3]), int32(vs[4]), int32(vs[5])
-		if s.firstDay < s.prevDay || s.lastDay < s.firstDay || s.prevDay != prevLast {
-			if i > 0 || s.prevDay != 0 {
-				return nil, nil, errors.New("trace: segment footer days not monotone")
-			}
 		}
 		prevLast = s.lastDay
 		segs = append(segs, s)
@@ -777,173 +770,62 @@ func (r backendReaderAt) ReadAt(p []byte, off int64) (int, error) {
 	return n, err
 }
 
-// parseSegHeader decodes the fixed header of a segmented trace.
-// finalized=false (with nil err) means the count slot is still poisoned:
-// the writer has not closed, which TailProbe tolerates and open rejects.
-func parseSegHeader(hdr []byte) (meta Meta, count uint64, finalized bool, err error) {
-	if len(hdr) < len(segMagic) {
-		return meta, 0, false, io.ErrUnexpectedEOF
-	}
-	if [4]byte(hdr[:4]) != segMagic {
-		return meta, 0, false, ErrBadMagic
-	}
-	if len(hdr) < fixedHeaderLen {
-		return meta, 0, false, fmt.Errorf("trace: truncated segmented header")
-	}
-	metaLen, n := binary.Uvarint(hdr[4:])
-	if n <= 0 || metaLen != encMetaPad {
-		return meta, 0, false, errors.New("trace: bad segmented header meta slot")
-	}
-	metaStart := 4 + n
-	if err := json.Unmarshal(bytes.TrimRight(hdr[metaStart:metaStart+encMetaPad], " "), &meta); err != nil {
-		return meta, 0, false, fmt.Errorf("trace: bad meta: %w", err)
-	}
-	count, cerr := binary.ReadUvarint(bytes.NewReader(hdr[metaStart+encMetaPad : fixedHeaderLen]))
-	if cerr != nil {
-		return meta, 0, false, nil
-	}
-	if count > maxEventCount {
-		return meta, 0, false, fmt.Errorf("%w: %d events", ErrCountTooLarge, count)
-	}
-	return meta, count, true, nil
-}
-
-// SegFileSource replays a segmented (compressed) trace: the same
-// out-of-core data plane as FileSource, with frames decompressed lazily
-// as a cursor crosses them. OpenAt maps a day through the day index into
-// (segment, raw offset) and decompresses nothing before that segment.
-// A SegFileSource describes a finalized, immutable container, so Frozen
-// returns the source itself.
-type SegFileSource struct {
-	Path string // "" when backend- or memory-backed
-
-	blob   segBlob
-	meta   Meta
-	events uint64
-	segs   []segEntry
-	index  []DayIndexEntry // raw-stream offsets; nil when footer absent
-
-	// cacheID keys this container's frames in the process-wide inflated-
-	// frame cache; "" (backend/memory blobs) disables caching for this
-	// source. See framecache.go for the identity rules.
-	cacheID string
-}
-
-// OpenSegFileSource validates the header and footer of a segmented
-// trace file and returns its source. Only finalized files open; a file
-// whose writer is still running (or crashed) is rejected with
-// ErrNotFinalized. A missing or damaged footer is tolerated by scanning
-// the frame headers (the day index then reads as absent, exactly like a
-// flat file with a damaged index footer).
-func OpenSegFileSource(path string) (*SegFileSource, error) {
-	s, err := openSegBlob(fileSegBlob{path: path}, path)
-	if err != nil {
-		return nil, err
-	}
-	s.Path = path
-	return s, nil
-}
-
 // OpenSegBackend opens a segmented trace stored as an object in a
 // storage backend. Cursors fetch one ranged read per frame, so a replay
 // from day D touches only the bytes of the segments holding days >= D.
-func OpenSegBackend(b storage.Backend, name string) (*SegFileSource, error) {
+// Backend frames bypass the inflated-frame cache.
+func OpenSegBackend(b storage.Backend, name string) (*FileSource, error) {
 	return openSegBlob(backendSegBlob{b: b, name: name}, name)
 }
 
 // openSegBytes opens a segmented trace held in memory (tests, fuzzing).
-func openSegBytes(data []byte) (*SegFileSource, error) {
+func openSegBytes(data []byte) (*FileSource, error) {
 	return openSegBlob(bytesSegBlob{data: data}, "segmented bytes")
 }
 
-func openSegBlob(blob segBlob, label string) (*SegFileSource, error) {
+func openSegBlob(blob segBlob, label string) (*FileSource, error) {
+	size, err := blob.size()
+	if err != nil {
+		return nil, err
+	}
 	h, err := blob.open()
 	if err != nil {
 		return nil, err
 	}
 	defer h.Close()
-	size, err := blob.size()
-	if err != nil {
-		return nil, err
-	}
-	hdr := make([]byte, fixedHeaderLen)
-	if size < int64(fixedHeaderLen) {
-		hdr = hdr[:size]
-	}
-	if err := h.readAt(hdr, 0); err != nil {
-		return nil, fmt.Errorf("trace: %s: header: %w", label, err)
-	}
-	meta, count, finalized, err := parseSegHeader(hdr)
+	s, err := openContainer(h.ra, size, blob)
 	if err != nil {
 		return nil, fmt.Errorf("trace: %s: %w", label, err)
 	}
-	if !finalized {
-		return nil, fmt.Errorf("%w: %s: count slot not back-patched (writer in progress or crashed before Close)", ErrNotFinalized, label)
-	}
-	segs, idx, ok := readSegFooter(h, size)
-	if !ok {
-		// Footer missing or damaged: rebuild the segment table from the
-		// frame headers. The day index is gone, which costs seek
-		// acceleration, never correctness.
-		if segs, err = scanSegFrames(h, size); err != nil {
-			return nil, fmt.Errorf("trace: %s: %w", label, err)
-		}
-		idx = nil
-	}
-	var total uint64
-	for _, s := range segs {
-		if s.fileEnd() > size {
-			return nil, fmt.Errorf("%w: %s: segment table overruns the file", ErrSegmentCorrupt, label)
-		}
-		total += s.events
-	}
-	if total != count {
-		return nil, fmt.Errorf("%w: %s: frames hold %d events, header promises %d", ErrNotFinalized, label, total, count)
-	}
-	if len(idx) > 0 && count > 0 {
-		last := idx[len(idx)-1]
-		if last.Event >= count {
-			idx = nil
-		}
-	}
-	src := &SegFileSource{blob: blob, meta: meta, events: count, segs: segs, index: idx}
-	if fb, ok := blob.(fileSegBlob); ok {
-		// Path plus size plus event count: stable across re-opens of the
-		// same finalized container, distinct the moment the file grows or
-		// is rewritten in place (live-ingest tails), so stale frames are
-		// never served — they just age out of the LRU under a dead key.
-		src.cacheID = fmt.Sprintf("file:%s|%d|%d", fb.path, size, count)
-	}
-	return src, nil
+	return s, nil
 }
 
-// readSegFooter locates and parses the footer via the fixed trailer at
-// the end of the blob. ok=false means absent-or-invalid, never an error:
-// the frame scan is the fallback.
-func readSegFooter(h *segHandle, size int64) ([]segEntry, []DayIndexEntry, bool) {
-	if size < int64(fixedHeaderLen)+indexTrailerLen {
-		return nil, nil, false
+// parseFrameHeader decodes the frame header in hdr as the frame at file
+// offset off, returning its entry (the raw-stream fields are the
+// caller's to place) and payload CRC. ok=false means hdr is not a frame
+// header: the footer, or garbage.
+func parseFrameHeader(hdr []byte, off int64) (s segEntry, crc uint32, ok bool) {
+	if [4]byte(hdr[:4]) != segFrameMagic {
+		return s, 0, false
 	}
-	var trailer [indexTrailerLen]byte
-	if h.readAt(trailer[:], size-indexTrailerLen) != nil {
-		return nil, nil, false
-	}
-	if [4]byte(trailer[8:12]) != indexEndMagic {
-		return nil, nil, false
-	}
-	n := int64(binary.LittleEndian.Uint64(trailer[:8]))
-	if n <= 0 || n > size-indexTrailerLen-int64(fixedHeaderLen) || n > maxIndexFooterBytes {
-		return nil, nil, false
-	}
-	buf := make([]byte, n)
-	if h.readAt(buf, size-indexTrailerLen-n) != nil {
-		return nil, nil, false
-	}
-	segs, idx, err := parseSegFooter(buf)
-	if err != nil {
-		return nil, nil, false
-	}
-	return segs, idx, true
+	le := binary.LittleEndian
+	return segEntry{
+		fileOff:  off,
+		compLen:  int64(le.Uint32(hdr[4:])),
+		rawLen:   int64(le.Uint32(hdr[8:])),
+		events:   uint64(le.Uint32(hdr[12:])),
+		firstDay: int32(le.Uint32(hdr[16:])),
+		lastDay:  int32(le.Uint32(hdr[20:])),
+		prevDay:  int32(le.Uint32(hdr[24:])),
+	}, le.Uint32(hdr[28:]), true
+}
+
+// plausible reports whether a frame header can follow a frame whose last
+// day was prevLast (0 before the first frame).
+func (s segEntry) plausible(prevLast int32) bool {
+	return s.compLen > 0 && s.compLen <= maxSegFrameLen && s.rawLen > 0 && s.rawLen <= maxSegFrameLen &&
+		s.events > 0 && int64(s.events) <= s.rawLen &&
+		s.prevDay == prevLast && s.firstDay >= s.prevDay && s.lastDay >= s.firstDay
 }
 
 // scanSegFrames rebuilds the segment table by walking the frame headers
@@ -952,139 +834,51 @@ func readSegFooter(h *segHandle, size int64) ([]segEntry, []DayIndexEntry, bool)
 // not a frame header: the footer, a torn tail, or garbage. The caller's
 // event-count cross-check decides whether what was found is the whole
 // stream.
-func scanSegFrames(h *segHandle, size int64) ([]segEntry, error) {
+func scanSegFrames(ra io.ReaderAt, size int64) ([]segEntry, error) {
 	var segs []segEntry
-	off := int64(fixedHeaderLen)
-	rawStart, firstEvent := int64(0), uint64(0)
-	prevLast := int32(0)
+	off, prev := int64(fixedHeaderLen), segEntry{}
 	for off+segFrameHdrLen <= size {
 		var hdr [segFrameHdrLen]byte
-		if err := h.readAt(hdr[:], off); err != nil {
+		if _, err := ra.ReadAt(hdr[:], off); err != nil {
 			return nil, err
 		}
-		if [4]byte(hdr[:4]) != segFrameMagic {
+		s, _, ok := parseFrameHeader(hdr[:], off)
+		if !ok || !s.plausible(prev.lastDay) || s.fileEnd() > size {
 			break
 		}
-		s := segEntry{
-			fileOff:    off,
-			compLen:    int64(binary.LittleEndian.Uint32(hdr[4:])),
-			rawLen:     int64(binary.LittleEndian.Uint32(hdr[8:])),
-			rawStart:   rawStart,
-			events:     uint64(binary.LittleEndian.Uint32(hdr[12:])),
-			firstEvent: firstEvent,
-			firstDay:   int32(binary.LittleEndian.Uint32(hdr[16:])),
-			lastDay:    int32(binary.LittleEndian.Uint32(hdr[20:])),
-			prevDay:    int32(binary.LittleEndian.Uint32(hdr[24:])),
-		}
-		if s.compLen == 0 || s.rawLen == 0 || s.events == 0 || int64(s.events) > s.rawLen ||
-			s.firstDay < s.prevDay || s.lastDay < s.firstDay || s.prevDay != prevLast ||
-			s.fileEnd() > size {
-			break
-		}
+		s.rawStart, s.firstEvent = prev.rawEnd(), prev.firstEvent+prev.events
 		segs = append(segs, s)
-		off = s.fileEnd()
-		rawStart = s.rawEnd()
-		firstEvent += s.events
-		prevLast = s.lastDay
+		off, prev = s.fileEnd(), s
 	}
 	return segs, nil
 }
 
-// Meta implements MetaSource with the header's metadata.
-func (s *SegFileSource) Meta() Meta { return s.meta }
-
-// Events returns the event count the header declares.
-func (s *SegFileSource) Events() uint64 { return s.events }
-
-// Index returns the day index (raw-stream offsets), nil when absent.
-// The slice is shared and must not be modified.
-func (s *SegFileSource) Index() []DayIndexEntry { return s.index }
-
-// Frozen implements the freezing contract trivially: a finalized
-// segmented container is immutable, so the source is its own frozen
-// view.
-func (s *SegFileSource) Frozen() MetaSource { return s }
-
-// SegStats summarizes the container for observability surfaces
-// (rranalyze -info, the /statz storage section).
-type SegStats struct {
-	// Segments is the number of compressed frames.
-	Segments int
-	// RawBytes is the uncompressed event-stream size the frames decode
-	// to (the flat format's event-stream size, headers excluded).
-	RawBytes int64
-	// CompressedBytes is the total compressed payload size.
-	CompressedBytes int64
-	// Events is the event count.
-	Events uint64
-	// Indexed reports whether the day index is present.
-	Indexed bool
+// segStream reads an RRS1 file's frames as one raw event stream.
+type segStream struct {
+	blob    segBlob
+	segs    []segEntry
+	cacheID string // frame-cache identity; "" = uncached
 }
 
-// Stats reports the container's compression accounting.
-func (s *SegFileSource) Stats() SegStats {
-	st := SegStats{Segments: len(s.segs), Events: s.events, Indexed: s.index != nil}
-	for _, e := range s.segs {
-		st.RawBytes += e.rawLen
-		st.CompressedBytes += e.compLen
-	}
-	return st
-}
-
-// Open implements Source: a fresh handle and decompression state per
-// pass, so concurrent passes never share position.
-func (s *SegFileSource) Open() (Cursor, error) { return s.openFrom(0, 0, 0, 0) }
-
-// OpenAt implements DaySeeker: the day index gives the raw-stream
-// offset, the segment table maps it to a frame, and the cursor
-// decompresses from that frame on — the prefix segments are never read,
-// let alone decompressed.
-func (s *SegFileSource) OpenAt(day int32) (Cursor, error) {
-	if day <= 0 {
-		return s.Open()
-	}
-	if s.index == nil {
-		cur, err := s.Open()
-		if err != nil {
-			return nil, err
-		}
-		skipped, err := skipToDay(cur, day)
-		if err != nil {
-			cur.Close()
-			return nil, err
-		}
-		return skipped, nil
-	}
-	i := sort.Search(len(s.index), func(i int) bool { return s.index[i].Day >= day })
-	if i == len(s.index) {
-		// Past the last day with events: an exhausted cursor.
-		return &sliceCursor{}, nil
-	}
-	e := s.index[i]
-	k := sort.Search(len(s.segs), func(k int) bool { return s.segs[k].rawEnd() > e.Offset })
-	if k == len(s.segs) {
+// open maps a raw-stream offset to the frame holding it and discards the
+// frame's bytes before it; the frames before it are never read.
+func (s *segStream) open(off int64) (streamReader, error) {
+	k := sort.Search(len(s.segs), func(k int) bool { return s.segs[k].rawEnd() > off })
+	if k == len(s.segs) && off > 0 {
 		return nil, fmt.Errorf("%w: day index points past the segment table", ErrSegmentCorrupt)
 	}
-	return s.openFrom(k, e.Offset-s.segs[k].rawStart, e.Event, e.PrevDay)
-}
-
-// openFrom opens a cursor at segment k, discarding discard decompressed
-// bytes to reach an event boundary with skipped events before it and
-// day watermark prevDay in force.
-func (s *SegFileSource) openFrom(k int, discard int64, skipped uint64, prevDay int32) (Cursor, error) {
 	h, err := s.blob.open()
 	if err != nil {
 		return nil, err
 	}
 	sr := &segStreamReader{h: h, segs: s.segs, next: k, cacheID: s.cacheID}
-	if discard > 0 {
-		if _, err := io.CopyN(io.Discard, sr, discard); err != nil {
+	if k < len(s.segs) && off > s.segs[k].rawStart {
+		if _, err := io.CopyN(io.Discard, sr, off-s.segs[k].rawStart); err != nil {
 			h.Close()
 			return nil, err
 		}
 	}
-	dec := resumeDecoder(bufio.NewReader(sr), s.meta, s.events-skipped, prevDay)
-	return &segCursor{h: h, dec: dec}, nil
+	return sr, nil
 }
 
 // segStreamReader presents a run of frames as one contiguous raw event
@@ -1148,13 +942,12 @@ func (r *segStreamReader) loadFrame() error {
 	if err := r.h.readAt(r.frame, seg.fileOff); err != nil {
 		return fmt.Errorf("%w: segment %d at byte %d: %v", ErrSegmentCorrupt, r.next, seg.fileOff, err)
 	}
-	hdr, payload := r.frame[:segFrameHdrLen], r.frame[segFrameHdrLen:]
-	if [4]byte(hdr[:4]) != segFrameMagic ||
-		int64(binary.LittleEndian.Uint32(hdr[4:])) != seg.compLen ||
-		int64(binary.LittleEndian.Uint32(hdr[8:])) != seg.rawLen {
+	got, crc, ok := parseFrameHeader(r.frame, seg.fileOff)
+	if !ok || got.compLen != seg.compLen || got.rawLen != seg.rawLen {
 		return fmt.Errorf("%w: segment %d at byte %d: frame header contradicts segment table", ErrSegmentCorrupt, r.next, seg.fileOff)
 	}
-	if crc := binary.LittleEndian.Uint32(hdr[28:]); crc32.ChecksumIEEE(payload) != crc {
+	payload := r.frame[segFrameHdrLen:]
+	if crc32.ChecksumIEEE(payload) != crc {
 		return fmt.Errorf("%w: segment %d at byte %d: checksum mismatch", ErrSegmentCorrupt, r.next, seg.fileOff)
 	}
 	raw, err := inflateFrame(payload, seg)
@@ -1168,44 +961,9 @@ func (r *segStreamReader) loadFrame() error {
 	return nil
 }
 
-type segCursor struct {
-	h   *segHandle
-	dec *Decoder
-}
+func (r *segStreamReader) Close() error { return r.h.Close() }
 
-func (c *segCursor) Next() (Event, bool, error) { return c.dec.Next() }
-
-func (c *segCursor) Close() error { return c.h.Close() }
-
-// bytesRead reports how many bytes this cursor has fetched off the blob
-// — compressed bytes, so prefix-skip accounting observes that skipped
-// segments are not even read.
-func (c *segCursor) bytesRead() int64 { return c.h.n }
-
-// TraceFile is what a trace file on disk offers regardless of container
-// format: the full data plane (Source, Meta, day-addressable OpenAt)
-// plus a Frozen view for snapshot publication. *FileSource and
-// *SegFileSource both satisfy it.
-type TraceFile interface {
-	MetaSource
-	DaySeeker
-	Frozen() MetaSource
-}
-
-// OpenTrace opens a trace file of either container format, sniffing the
-// magic: "RRT1" opens flat (OpenFileSource), "RRS1" segmented
-// (OpenSegFileSource). This is the open every consumer that accepts
-// user-supplied paths should use.
-func OpenTrace(path string) (TraceFile, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	var mag [4]byte
-	_, rerr := io.ReadFull(f, mag[:])
-	f.Close()
-	if rerr == nil && mag == segMagic {
-		return OpenSegFileSource(path)
-	}
-	return OpenFileSource(path)
-}
+// bytesRead reports the compressed bytes fetched off the blob, so
+// prefix-skip accounting observes that skipped segments are not even
+// read.
+func (r *segStreamReader) bytesRead() int64 { return r.h.n }

@@ -87,11 +87,11 @@ func TestSegRoundtripMatchesFlat(t *testing.T) {
 	encodeToFile(t, tr, flatPath)
 	encodeSegToFile(t, tr, segPath, true)
 
-	flat, err := OpenFileSource(flatPath)
+	flat, err := openFileSource(flatPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg, err := OpenSegFileSource(segPath)
+	seg, err := openFileSource(segPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,10 @@ func TestSegRoundtripMatchesFlat(t *testing.T) {
 			t.Fatalf("event %d: seg %+v, flat %+v", i, se[i], fe[i])
 		}
 	}
-	st := seg.Stats()
+	st, ok := seg.Stats()
+	if !ok {
+		t.Fatal("segmented source reports no segment stats")
+	}
 	if st.Segments < 2 {
 		t.Fatalf("expected a multi-frame file, got %d segments", st.Segments)
 	}
@@ -131,7 +134,7 @@ func TestSegOpenAt(t *testing.T) {
 	tr := synthTrace(513)
 	path := filepath.Join(t.TempDir(), "seg.trace")
 	encodeSegToFile(t, tr, path, true)
-	s, err := OpenSegFileSource(path)
+	s, err := openFileSource(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +149,7 @@ func TestSegOpenAt(t *testing.T) {
 			break
 		}
 	}
-	fullBytes := full.(*segCursor).bytesRead()
+	fullBytes := full.(*fileCursor).bytesRead()
 	full.Close()
 
 	lastDay := tr.Meta.Days - 1
@@ -180,7 +183,7 @@ func TestSegOpenAt(t *testing.T) {
 				t.Fatalf("OpenAt(%d) event %d: %+v, want %+v", day, i, got[i], want[i])
 			}
 		}
-		if sc, ok := cur.(*segCursor); ok && day >= lastDay/2 && day <= lastDay {
+		if sc, ok := cur.(*fileCursor); ok && day >= lastDay/2 && day <= lastDay {
 			if n := sc.bytesRead(); n >= fullBytes {
 				t.Fatalf("OpenAt(%d) fetched %d bytes, full pass fetched %d: prefix segments were read", day, n, fullBytes)
 			}
@@ -222,8 +225,8 @@ func TestSegOpenAtMidFrameDay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.segs) < 4 {
-		t.Fatalf("expected several frames, got %d", len(s.segs))
+	if len(segsOf(s)) < 4 {
+		t.Fatalf("expected several frames, got %d", len(segsOf(s)))
 	}
 	for day := int32(0); day <= 4; day++ {
 		cur, err := s.OpenAt(day)
@@ -261,14 +264,14 @@ func TestSegCorruptionTypedError(t *testing.T) {
 	tr := synthTrace(257)
 	path := filepath.Join(t.TempDir(), "seg.trace")
 	encodeSegToFile(t, tr, path, true)
-	s, err := OpenSegFileSource(path)
+	s, err := openFileSource(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(s.segs) < 3 {
-		t.Fatalf("need >= 3 frames, got %d", len(s.segs))
+	if len(segsOf(s)) < 3 {
+		t.Fatalf("need >= 3 frames, got %d", len(segsOf(s)))
 	}
-	victim := s.segs[2]
+	victim := segsOf(s)[2]
 
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -279,7 +282,7 @@ func TestSegCorruptionTypedError(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s2, err := OpenSegFileSource(path) // header+footer untouched: opens
+	s2, err := openFileSource(path) // header+footer untouched: opens
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +314,7 @@ func TestSegCorruptionTypedError(t *testing.T) {
 		t.Fatalf("only %d events before failure, want at least %d", n, victim.firstEvent)
 	}
 	// Day-addressed reads that skip the damaged segment still work.
-	lastSeg := s2.segs[len(s2.segs)-1]
+	lastSeg := segsOf(s2)[len(segsOf(s2))-1]
 	cur2, err := s2.OpenAt(lastSeg.firstDay)
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +346,7 @@ func TestSegFooterStrippedRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := OpenSegFileSource(path)
+	s, err := openFileSource(path)
 	if err != nil {
 		t.Fatalf("footer-less open: %v", err)
 	}
@@ -389,7 +392,7 @@ func TestSegNotFinalized(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close() // no enc.Close: simulated crash
-	if _, err := OpenSegFileSource(path); !errors.Is(err, ErrNotFinalized) {
+	if _, err := openFileSource(path); !errors.Is(err, ErrNotFinalized) {
 		t.Fatalf("open = %v, want ErrNotFinalized", err)
 	}
 }
@@ -450,15 +453,19 @@ func TestOpenTraceSniffs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := ff.(*FileSource); !ok {
+	if fs, ok := ff.(*FileSource); !ok {
 		t.Fatalf("flat OpenTrace = %T", ff)
+	} else if _, seg := fs.Stats(); seg {
+		t.Fatal("flat OpenTrace opened a segmented stream")
 	}
 	sf, err := OpenTrace(segPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := sf.(*SegFileSource); !ok {
+	if fs, ok := sf.(*FileSource); !ok {
 		t.Fatalf("seg OpenTrace = %T", sf)
+	} else if _, seg := fs.Stats(); !seg {
+		t.Fatal("seg OpenTrace opened a flat stream")
 	}
 	if ff.Meta() != sf.Meta() {
 		t.Fatalf("meta: flat %+v, seg %+v", ff.Meta(), sf.Meta())

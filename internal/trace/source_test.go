@@ -56,6 +56,19 @@ func encodeToFile(t *testing.T, tr *Trace, path string) {
 	}
 }
 
+// openFileSource opens a trace file of either format as its concrete
+// source.
+func openFileSource(path string) (*FileSource, error) {
+	tf, err := OpenTrace(path)
+	if err != nil {
+		return nil, err
+	}
+	return tf.(*FileSource), nil
+}
+
+// segsOf returns an RRS1 source's segment table.
+func segsOf(s *FileSource) []segEntry { return s.stream.(*segStream).segs }
+
 // drain collects every event of one pass.
 func drain(t *testing.T, src Source) []Event {
 	t.Helper()
@@ -87,7 +100,7 @@ func TestSliceFileCursorEquivalence(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "synth.trace")
 	encodeToFile(t, tr, path)
 
-	fs, err := OpenFileSource(path)
+	fs, err := openFileSource(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +181,7 @@ func TestEncoderMetaAccumulates(t *testing.T) {
 	tr := synthTrace(32)
 	path := filepath.Join(t.TempDir(), "meta.trace")
 	encodeToFile(t, tr, path)
-	fs, err := OpenFileSource(path)
+	fs, err := openFileSource(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +234,7 @@ func TestEncoderUnclosedFileIsInvalid(t *testing.T) {
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenFileSource(path); err == nil {
+	if _, err := openFileSource(path); err == nil {
 		t.Fatal("unclosed encoder file opened as a valid trace")
 	}
 	raw, err := os.ReadFile(path)
@@ -249,7 +262,7 @@ func TestFileSourceTruncated(t *testing.T) {
 	if err := os.WriteFile(cut, raw[:footer-7], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	fs, err := OpenFileSource(cut) // header is intact
+	fs, err := openFileSource(cut) // header is intact
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package trace
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -46,40 +45,29 @@ import (
 //
 // Probes are incremental: each call decodes only the bytes appended
 // since the previous call (the first probe of an already-finalized file
-// trusts its header and footer outright, like OpenFileSource). A
+// trusts its header and footer outright, like OpenTrace). A
 // TailProbe is not safe for concurrent use; callers serialize Probe.
 type TailProbe struct {
 	path string
 	fi   os.FileInfo // identity of the file the state below describes
 
-	start       int64 // byte offset of the first event (end of header)
+	start       int64 // raw-stream offset of the first event
 	headerMeta  Meta
 	headerCount uint64
 
-	cur     tailPos // decode frontier: boundary after the last complete event
-	curDay  int32   // day-delta watermark at the frontier
-	curMeta Meta    // counters accumulated over [0, cur.count)
-
-	sealed      tailPos // boundary before the trailing day's first event
-	sealedMeta  Meta    // counters accumulated over [0, sealed.count)
-	trailingDay int32   // day of the events past sealed; -1 before any event
-	sealedValid bool    // false after a trusted-finalized load, until a new
-	// day barrier (or a reset) re-derives the sealed state by decoding
-
-	index []DayIndexEntry // first-event-of-day entries, entries never mutated
+	frontier
 
 	seg *segProbe // non-nil while probing a segmented (RRS1) file
 }
 
 // segProbe is the extra frontier state a segmented file needs: the scan
 // position in *file* coordinates (frames are fetched and checksummed
-// whole), while the inherited cur/sealed positions run in *raw-stream*
+// whole), while the frontier's positions run in *raw-stream*
 // coordinates — the address space the day index and any snapshot source
 // operate in. Each complete frame is decompressed exactly once, when the
 // scan first crosses it.
 type segProbe struct {
 	frameOff int64 // file offset of the next unscanned frame
-	rawOff   int64 // raw-stream offset corresponding to frameOff
 	segs     []segEntry
 }
 
@@ -90,24 +78,73 @@ type tailPos struct {
 	count uint64
 }
 
+// frontier is a decode pass's position in the raw event stream, plus the
+// day index and sealing state derived from the events it has passed.
+type frontier struct {
+	cur     tailPos // boundary after the last complete event
+	curDay  int32   // day-delta watermark at cur
+	curMeta Meta    // counters accumulated over [0, cur.count)
+
+	sealed      tailPos // boundary before the trailing day's first event
+	sealedMeta  Meta    // counters accumulated over [0, sealed.count)
+	trailingDay int32   // day of the events past sealed; -1 before any event
+	sealedValid bool    // false after a trusted-finalized load, until a new
+	// day barrier (or a reset) re-derives the sealed state by decoding
+
+	index []DayIndexEntry // first-event-of-day entries, entries never mutated
+}
+
+// newFrontier returns the frontier of a pass about to decode the first
+// event, at raw-stream offset start.
+func newFrontier(start int64) frontier {
+	return frontier{
+		cur:         tailPos{off: start},
+		curMeta:     Meta{MergeDay: -1},
+		sealedMeta:  Meta{MergeDay: -1},
+		trailingDay: -1,
+		sealedValid: true,
+	}
+}
+
+// errRescan stops a scan at an event that continues a trusted-finalized
+// file's last day: the sealed boundary then lies inside a prefix that was
+// never decoded.
+var errRescan = errors.New("trace: sealed boundary inside an undecoded prefix")
+
+// scan decodes up to limit events from r — the raw stream from the
+// frontier on — and folds each into the frontier. This is the one
+// sealing rule: the first event of a later day seals every day before it
+// and gets a day-index entry. scan returns the decoder's error, nil at a
+// clean end of the limit; the frontier is left after the last complete
+// event either way.
+func (f *frontier) scan(r io.Reader, limit uint64) error {
+	base := f.cur.off
+	cr := &countingReader{r: r}
+	br := bufio.NewReader(cr)
+	dec := resumeDecoder(br, Meta{}, limit, f.curDay)
+	for {
+		ev, ok, err := dec.Next()
+		if err != nil || !ok {
+			return err
+		}
+		if !f.sealedValid && ev.Day <= f.curDay {
+			return errRescan
+		}
+		if f.cur.count == 0 || ev.Day > f.curDay {
+			f.sealed, f.sealedMeta, f.trailingDay, f.sealedValid = f.cur, f.curMeta, ev.Day, true
+			f.index = append(f.index, DayIndexEntry{
+				Day: ev.Day, Offset: f.cur.off, Event: f.cur.count, PrevDay: f.curDay,
+			})
+		}
+		f.curMeta.Accumulate(ev)
+		f.cur = tailPos{off: base + cr.n - int64(br.Buffered()), count: f.cur.count + 1}
+		f.curDay = ev.Day
+	}
+}
+
 // NewTailProbe returns a probe for the trace file at path. The file need
 // not exist yet; Probe reports the open error until it does.
 func NewTailProbe(path string) *TailProbe { return &TailProbe{path: path} }
-
-// reset clears all decode state; the next Probe re-derives it from
-// scratch.
-func (p *TailProbe) reset() {
-	p.fi = nil
-	p.cur = tailPos{}
-	p.curDay = 0
-	p.curMeta = Meta{MergeDay: -1}
-	p.sealed = tailPos{}
-	p.sealedMeta = Meta{MergeDay: -1}
-	p.trailingDay = -1
-	p.sealedValid = true
-	p.index = nil
-	p.seg = nil
-}
 
 // Probe re-examines the file and returns the current sealed-prefix
 // snapshot. An error means the file could not be probed at all (missing,
@@ -125,282 +162,158 @@ func (p *TailProbe) Probe() (*TailSnapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Dispatch on the container magic: a segmented (compressed) file has
-	// its own frame-at-a-time probing path.
-	var mag [4]byte
-	if _, err := f.ReadAt(mag[:], 0); err != nil {
-		return nil, err // shorter than a magic: not probeable yet
-	}
-	if mag == segMagic {
-		return p.probeSeg(f, fi)
-	}
 	// The header is re-read every probe: an appender's Close back-patches
-	// it in place (and a from-scratch writer's header stays poisoned —
-	// undecodable — until its Close, which surfaces here as an error).
-	meta, count, start, err := parseStreamHeader(f)
+	// it in place (and a from-scratch flat writer's header stays poisoned
+	// — undecodable — until its Close, which surfaces here as an error).
+	// The footer bounds the stream when present. Its validity is
+	// structural only: during the writer's Close there is a moment when
+	// the new footer is on disk but the header is still old.
+	c, err := readContainer(f, fi.Size())
 	if err != nil {
 		return nil, err
 	}
-	// The footer bounds the event stream when present. Validity here is
-	// structural (magic, CRC) only — during the writer's Close there is a
-	// moment when the new footer is on disk but the header is still old,
-	// and using the stale count to judge the footer would misplace the
-	// stream's end.
-	idx, footOff := readDayIndexOff(f, maxEventCount)
-	eventsEnd := fi.Size()
-	if footOff >= 0 {
-		eventsEnd = footOff
+	end := fi.Size()
+	if c.footOff >= 0 {
+		end = c.footOff
 	}
 
-	fresh := p.fi == nil || !os.SameFile(p.fi, fi) || p.seg != nil || p.start != start || eventsEnd < p.cur.off
+	fresh := p.fi == nil || !os.SameFile(p.fi, fi) || (p.seg != nil) != c.seg || p.start != c.start || end < p.scanned()
 	if fresh {
-		p.reset()
-		p.start = start
-		p.cur.off = start
-		// A finalized file on a clean slate: trust header and footer the
-		// way OpenFileSource does, skipping the O(events) decode. The
-		// sealed state is deliberately left unset (sealedValid=false) —
-		// if the file is later reopened for append, the first new day
-		// barrier re-derives it, and cheaper than a full decode.
-		trust := footOff >= 0 && idx != nil &&
-			(count == 0) == (len(idx) == 0) &&
-			(len(idx) == 0 || (idx[len(idx)-1].Event < count && idx[len(idx)-1].Offset < footOff))
-		if trust {
-			p.fi = fi
-			p.headerMeta, p.headerCount = meta, count
-			p.cur = tailPos{off: eventsEnd, count: count}
-			p.curMeta = meta
-			if len(idx) > 0 {
-				p.curDay = idx[len(idx)-1].Day
-			}
-			p.sealedValid = false
-			p.index = idx
-			return p.snapshot(true, nil), nil
+		p.start = c.start
+		p.frontier = newFrontier(c.start)
+		p.seg = nil
+		if c.seg {
+			p.seg = &segProbe{frameOff: int64(fixedHeaderLen)}
 		}
 	}
 	p.fi = fi
-	p.headerMeta, p.headerCount = meta, count
-
-	// Decode forward from the frontier over the newly visible bytes.
-	var anomaly error
-	if eventsEnd > p.cur.off {
-		base := p.cur.off
-		cr := &countingReader{r: io.NewSectionReader(f, base, eventsEnd-base)}
-		br := bufio.NewReader(cr)
-		dec := resumeDecoder(br, p.headerMeta, maxEventCount, p.curDay)
-		for {
-			ev, ok, err := dec.Next()
-			if err != nil {
-				if errors.Is(err, ErrTruncated) {
-					// The stream ran out: either exactly at our frontier
-					// (a clean boundary) or inside an event (a torn tail
-					// write). Both are normal under a live writer; a
-					// finalized stream ending mid-event is not.
-					if footOff >= 0 && p.cur.off != eventsEnd {
-						anomaly = fmt.Errorf("trace: finalized stream ends mid-event: %w", err)
-					}
-				} else {
-					anomaly = err
-				}
-				break
-			}
-			if !ok {
-				break
-			}
-			if !p.sealedValid && ev.Day <= p.curDay {
-				// Appended events continue the trusted file's final day:
-				// the sealed boundary now lies inside a prefix we never
-				// decoded. Rescan from scratch to re-derive it exactly.
-				p.reset()
-				return p.Probe()
-			}
-			if p.cur.count == 0 || ev.Day > p.curDay {
-				p.sealed = p.cur
-				p.sealedMeta = p.curMeta
-				p.trailingDay = ev.Day
-				p.sealedValid = true
-				p.index = append(p.index, DayIndexEntry{
-					Day: ev.Day, Offset: p.cur.off, Event: p.cur.count, PrevDay: p.curDay,
-				})
-			}
-			p.curMeta.Accumulate(ev)
-			p.cur.count++
-			p.curDay = ev.Day
-			p.cur.off = base + cr.n - int64(br.Buffered())
-		}
+	p.headerMeta, p.headerCount = c.meta, c.count
+	if fresh && p.trust(c) {
+		return p.snapshot(true, nil), nil
 	}
 
-	finalized := footOff >= 0 && anomaly == nil &&
-		p.cur.off == eventsEnd && p.cur.count == p.headerCount
+	var anomaly error
+	if c.seg {
+		anomaly = p.scanFrames(f, end)
+	} else if end > p.cur.off {
+		err := p.scan(io.NewSectionReader(f, p.cur.off, end-p.cur.off), maxEventCount)
+		if !errors.Is(err, ErrTruncated) {
+			anomaly = err
+		} else if c.footOff >= 0 && p.cur.off != end {
+			// The stream ran out either exactly at our frontier (a clean
+			// boundary) or inside an event (a torn tail write). Both are
+			// normal under a live writer; a finalized stream ending
+			// mid-event is not.
+			anomaly = fmt.Errorf("trace: finalized stream ends mid-event: %w", err)
+		}
+	}
+	if anomaly == errRescan {
+		// Appended events continue the trusted file's final day: rescan
+		// from scratch to re-derive the sealed boundary exactly.
+		p.fi = nil
+		return p.Probe()
+	}
+	finalized := anomaly == nil && c.finalized && c.footOff >= 0 &&
+		p.scanned() == end && p.cur.count == c.count
 	return p.snapshot(finalized, anomaly), nil
 }
 
-// probeSeg is Probe for the segmented container. The sealing rule and
-// all tolerance properties are the flat path's; what differs is the unit
-// of progress: only *fully-flushed frames* are consumed. A frame whose
-// header or payload has not completely hit the disk is a torn tail to
-// wait out; a frame that is complete but fails its checksum is an
-// anomaly that never advances the frontier. Within each complete frame
-// the payload is checksum-verified, decompressed once, and its events
-// run through the same day-barrier sealing machine — so a day is sealed
+// scanned is the file offset the probe has examined up to.
+func (p *TailProbe) scanned() int64 {
+	if p.seg != nil {
+		return p.seg.frameOff
+	}
+	return p.cur.off
+}
+
+// trust loads a finalized file on a clean slate straight from its header
+// and footer, the way OpenTrace does, skipping the O(events) decode. The
+// sealed state is deliberately left unset (sealedValid=false): if the
+// file is later reopened for append, the first new day barrier re-derives
+// it, cheaper than a full decode.
+func (p *TailProbe) trust(c container) bool {
+	idx := c.index
+	var total uint64
+	for _, s := range c.segs {
+		total += s.events
+	}
+	if !c.finalized || c.footOff < 0 || idx == nil || (c.count == 0) != (len(idx) == 0) ||
+		(len(idx) > 0 && idx[len(idx)-1].Event >= c.count) || (c.seg && total != c.count) {
+		return false
+	}
+	p.cur = tailPos{off: c.footOff, count: c.count}
+	if c.seg {
+		p.cur.off = 0
+		if n := len(c.segs); n > 0 {
+			p.cur.off, p.seg.frameOff = c.segs[n-1].rawEnd(), c.segs[n-1].fileEnd()
+		}
+		p.seg.segs = c.segs
+	}
+	p.curMeta = c.meta
+	if len(idx) > 0 {
+		p.curDay = idx[len(idx)-1].Day
+	}
+	p.sealedValid = false
+	p.index = idx
+	return true
+}
+
+// scanFrames is the segmented container's chunking: only fully-flushed
+// frames are consumed. A frame whose header or payload has not completely
+// hit the disk is a torn tail to wait out; a frame that is complete but
+// fails its checksum is an anomaly that never advances the frontier.
+// Each complete frame is checksum-verified, decompressed once, and its
+// events run through the frontier's sealing rule — so a day is sealed
 // only when a later-day event has been observed in some fully-flushed
 // frame (or the footer finalizes the file).
-func (p *TailProbe) probeSeg(f *os.File, fi os.FileInfo) (*TailSnapshot, error) {
-	hdr := make([]byte, fixedHeaderLen)
-	if _, err := f.ReadAt(hdr, 0); err != nil {
-		return nil, err // header not fully written yet: back off
-	}
-	meta, count, hdrFinal, err := parseSegHeader(hdr)
-	if err != nil {
-		return nil, err
-	}
-	// A mid-write header's count slot is poisoned; the probe treats the
-	// count as unknown (zero floor) and finds the extent by scanning.
-	if !hdrFinal {
-		count = 0
-	}
-	h := &segHandle{ra: f}
-
-	fresh := p.fi == nil || !os.SameFile(p.fi, fi) || p.seg == nil || fi.Size() < p.seg.frameOff
-	if fresh {
-		p.reset()
-		p.start = 0 // snapshot offsets run in raw-stream coordinates
-		p.seg = &segProbe{frameOff: int64(fixedHeaderLen)}
-		if hdrFinal {
-			// Finalized file on a clean slate: trust header and footer the
-			// way OpenSegFileSource does, skipping the O(events) decode.
-			if segs, idx, ok := readSegFooter(h, fi.Size()); ok {
-				var total uint64
-				rawEnd, frameEnd := int64(0), int64(fixedHeaderLen)
-				for _, s := range segs {
-					total += s.events
-					rawEnd = s.rawEnd()
-					frameEnd = s.fileEnd()
-				}
-				if total == count {
-					p.fi = fi
-					p.headerMeta, p.headerCount = meta, count
-					p.seg.segs = segs
-					p.seg.frameOff = frameEnd
-					p.seg.rawOff = rawEnd
-					p.cur = tailPos{off: rawEnd, count: count}
-					p.curMeta = meta
-					if len(segs) > 0 {
-						p.curDay = segs[len(segs)-1].lastDay
-					}
-					p.sealedValid = false
-					p.index = idx
-					return p.snapshot(true, nil), nil
-				}
-			}
-		}
-	}
-	p.fi = fi
-	p.headerMeta, p.headerCount = meta, count
-
-	var anomaly error
+func (p *TailProbe) scanFrames(f *os.File, end int64) error {
 	sp := p.seg
-scan:
-	for {
-		if fi.Size() < sp.frameOff+segFrameHdrLen {
-			break // no complete frame header yet: wait
-		}
+	for sp.frameOff+segFrameHdrLen <= end {
 		var fh [segFrameHdrLen]byte
-		if err := h.readAt(fh[:], sp.frameOff); err != nil {
-			anomaly = err
-			break
+		if _, err := f.ReadAt(fh[:], sp.frameOff); err != nil {
+			return err
 		}
-		if [4]byte(fh[:4]) != segFrameMagic {
-			break // the footer (or trailing garbage) starts here
+		seg, crc, ok := parseFrameHeader(fh[:], sp.frameOff)
+		if !ok {
+			return nil // the footer (or trailing garbage) starts here
 		}
-		seg := segEntry{
-			fileOff:    sp.frameOff,
-			compLen:    int64(binary.LittleEndian.Uint32(fh[4:])),
-			rawLen:     int64(binary.LittleEndian.Uint32(fh[8:])),
-			rawStart:   sp.rawOff,
-			events:     uint64(binary.LittleEndian.Uint32(fh[12:])),
-			firstEvent: p.cur.count,
-			firstDay:   int32(binary.LittleEndian.Uint32(fh[16:])),
-			lastDay:    int32(binary.LittleEndian.Uint32(fh[20:])),
-			prevDay:    int32(binary.LittleEndian.Uint32(fh[24:])),
+		seg.rawStart, seg.firstEvent = p.cur.off, p.cur.count
+		corrupt := func(what any) error {
+			return fmt.Errorf("%w: segment %d at byte %d: %v", ErrSegmentCorrupt, len(sp.segs), sp.frameOff, what)
 		}
-		ordinal := len(sp.segs)
-		if seg.compLen == 0 || seg.compLen > maxSegFrameLen || seg.rawLen == 0 || seg.rawLen > maxSegFrameLen ||
-			seg.events == 0 || int64(seg.events) > seg.rawLen || seg.prevDay != p.curDay {
-			anomaly = fmt.Errorf("%w: segment %d at byte %d: implausible frame header", ErrSegmentCorrupt, ordinal, sp.frameOff)
-			break
+		if !seg.plausible(p.curDay) {
+			return corrupt("implausible frame header")
 		}
-		if fi.Size() < seg.fileEnd() {
-			break // torn frame write: wait for the rest
+		if end < seg.fileEnd() {
+			return nil // torn frame write: wait for the rest
 		}
 		payload := make([]byte, seg.compLen)
-		if err := h.readAt(payload, sp.frameOff+segFrameHdrLen); err != nil {
-			anomaly = err
-			break
+		if _, err := f.ReadAt(payload, sp.frameOff+segFrameHdrLen); err != nil {
+			return err
 		}
-		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(fh[28:]) {
-			anomaly = fmt.Errorf("%w: segment %d at byte %d: checksum mismatch", ErrSegmentCorrupt, ordinal, sp.frameOff)
-			break
+		if crc32.ChecksumIEEE(payload) != crc {
+			return corrupt("checksum mismatch")
+		}
+		raw, err := inflateFrame(payload, seg)
+		if err != nil {
+			return corrupt(err)
 		}
 		// Decode the whole frame before applying any of it, so a frame
 		// that fails mid-decode leaves the frontier exactly where it was.
-		raw, ierr := inflateFrame(payload, seg)
-		if ierr != nil {
-			anomaly = fmt.Errorf("%w: segment %d at byte %d: %v", ErrSegmentCorrupt, ordinal, sp.frameOff, ierr)
-			break
+		next := p.frontier
+		if err := next.scan(bytes.NewReader(raw), seg.events); err == errRescan {
+			return err
+		} else if err != nil {
+			return corrupt(err)
 		}
-		cr := &countingReader{r: bytes.NewReader(raw)}
-		br := bufio.NewReader(cr)
-		dec := resumeDecoder(br, p.headerMeta, seg.events, p.curDay)
-		evs := make([]Event, 0, seg.events)
-		offs := make([]int64, 0, seg.events)
-		for {
-			ev, ok, derr := dec.Next()
-			if derr != nil {
-				anomaly = fmt.Errorf("%w: segment %d at byte %d: %v", ErrSegmentCorrupt, ordinal, sp.frameOff, derr)
-				break scan
-			}
-			if !ok {
-				break
-			}
-			evs = append(evs, ev)
-			offs = append(offs, sp.rawOff+cr.n-int64(br.Buffered()))
+		if next.cur.count != p.cur.count+seg.events || next.cur.off != seg.rawEnd() {
+			return corrupt("payload contradicts frame header")
 		}
-		if uint64(len(evs)) != seg.events || offs[len(offs)-1] != sp.rawOff+seg.rawLen {
-			anomaly = fmt.Errorf("%w: segment %d at byte %d: payload contradicts frame header", ErrSegmentCorrupt, ordinal, sp.frameOff)
-			break
-		}
-		for i, ev := range evs {
-			if !p.sealedValid && ev.Day <= p.curDay {
-				// Events continued past a trusted-finalized load (the file
-				// was rebuilt in place): rescan from scratch.
-				p.reset()
-				return p.Probe()
-			}
-			if p.cur.count == 0 || ev.Day > p.curDay {
-				p.sealed = p.cur
-				p.sealedMeta = p.curMeta
-				p.trailingDay = ev.Day
-				p.sealedValid = true
-				p.index = append(p.index, DayIndexEntry{
-					Day: ev.Day, Offset: p.cur.off, Event: p.cur.count, PrevDay: p.curDay,
-				})
-			}
-			p.curMeta.Accumulate(ev)
-			p.cur.count++
-			p.curDay = ev.Day
-			p.cur.off = offs[i]
-		}
+		p.frontier = next
 		sp.segs = append(sp.segs, seg)
 		sp.frameOff = seg.fileEnd()
-		sp.rawOff += seg.rawLen
 	}
-
-	finalized := false
-	if anomaly == nil && hdrFinal && p.cur.count == count {
-		_, _, finalized = readSegFooter(h, fi.Size())
-	}
-	return p.snapshot(finalized, anomaly), nil
+	return nil
 }
 
 // snapshot renders the probe's current state.
@@ -420,18 +333,13 @@ func (p *TailProbe) snapshot(finalized bool, anomaly error) *TailSnapshot {
 		s.FrontierDay = -1
 	}
 	switch {
-	case finalized:
-		s.Finalized = true
-		s.Meta = p.headerMeta
-		s.SealedDay = p.headerMeta.Days - 1
-		s.Events = int64(p.cur.count)
-		s.EndOffset = p.cur.off
-		s.index = p.index[:len(p.index):len(p.index)]
-	case !p.sealedValid:
-		// Trusted-finalized file reopened for append, no new day barrier
-		// yet: the pre-append header still vouches for every event we
-		// have seen (the frontier equals its count), so everything
-		// through its last day stays sealed.
+	case finalized || !p.sealedValid:
+		// A finalized file seals every day. So does a trusted-finalized
+		// file reopened for append with no new day barrier yet: the
+		// pre-append header still vouches for every event we have seen
+		// (the frontier equals its count), so everything through its last
+		// day stays sealed.
+		s.Finalized = finalized
 		s.Meta = p.headerMeta
 		s.SealedDay = p.headerMeta.Days - 1
 		s.Events = int64(p.cur.count)
@@ -465,21 +373,6 @@ func (p *TailProbe) snapshot(finalized bool, anomaly error) *TailSnapshot {
 		s.index = p.index[:k:k]
 	}
 	return s
-}
-
-// parseStreamHeader reads the trace header (either layout) and returns
-// its meta, declared count, and the byte offset of the first event.
-func parseStreamHeader(f *os.File) (Meta, uint64, int64, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return Meta{}, 0, 0, err
-	}
-	cr := &countingReader{r: f}
-	br := bufio.NewReader(cr)
-	dec, err := NewDecoder(br)
-	if err != nil {
-		return Meta{}, 0, 0, err
-	}
-	return dec.Meta(), dec.Events(), cr.n - int64(br.Buffered()), nil
 }
 
 // TailSnapshot is one probe's view of a growing trace: the sealed prefix
@@ -519,110 +412,29 @@ type TailSnapshot struct {
 	segs  []segEntry // non-nil for a segmented file; offsets above are raw-stream
 }
 
-// Source adapts the sealed prefix to a MetaSource. Cursors decode the
-// underlying file bounded by the snapshot's event count, so a writer
-// appending past the sealed prefix — or finalizing the file — never
-// perturbs an open pass. Returns nil when the snapshot holds no sealed
-// events.
+// Source adapts the sealed prefix to a MetaSource: a FileSource whose
+// meta, event count and day index are the snapshot's. Its cursors are
+// count-bounded, so a writer appending past the sealed prefix — or
+// finalizing the file — never perturbs an open pass, and frames or bytes
+// past the seal are never read. Returns nil when the snapshot holds no
+// sealed events.
 func (s *TailSnapshot) Source() MetaSource {
 	if s.Events <= 0 {
 		return nil
 	}
-	if s.segs != nil {
-		// Sealed prefix of a segmented file: the count bound stops the
-		// decoder mid-stream, so frames past the sealed boundary are never
-		// fetched, let alone decompressed.
-		return &SegFileSource{
-			Path:   s.Path,
-			blob:   fileSegBlob{path: s.Path},
-			meta:   s.Meta,
-			events: uint64(s.Events),
-			segs:   s.segs,
-			index:  s.index,
-		}
-	}
-	return &tailSource{
-		path:   s.Path,
+	src := &FileSource{
+		Path:   s.Path,
 		meta:   s.Meta,
-		start:  s.start,
 		events: uint64(s.Events),
+		start:  s.start,
 		index:  s.index,
+		stream: flatStream{path: s.Path},
 	}
-}
-
-// tailSource replays the sealed prefix of a (possibly still growing)
-// trace file. It is the same out-of-core data plane as FileSource with
-// two differences: the meta and event count come from the tail probe's
-// sealed snapshot rather than the file header, and every cursor is
-// count-bounded so bytes past the sealed prefix are never decoded.
-type tailSource struct {
-	path   string
-	meta   Meta
-	start  int64
-	events uint64
-	index  []DayIndexEntry
-}
-
-// Meta implements MetaSource with the sealed-prefix metadata.
-func (s *tailSource) Meta() Meta { return s.meta }
-
-// Open implements Source.
-func (s *tailSource) Open() (Cursor, error) { return s.openFrom(s.start, 0, 0) }
-
-// OpenAt implements DaySeeker via the snapshot's observed day index. A
-// nil index (a Frozen view of an index-less file) falls back to
-// decode-and-discard of the prefix, like FileSource.
-func (s *tailSource) OpenAt(day int32) (Cursor, error) {
-	if day <= 0 {
-		return s.Open()
+	if s.segs != nil {
+		// Only the frames that start before the seal hold sealed events.
+		// Tail sources bypass the frame cache: the file is still growing.
+		k := sort.Search(len(s.segs), func(k int) bool { return s.segs[k].rawStart >= s.EndOffset })
+		src.stream = &segStream{blob: fileSegBlob{path: s.Path}, segs: s.segs[:k]}
 	}
-	if s.index == nil {
-		cur, err := s.Open()
-		if err != nil {
-			return nil, err
-		}
-		skipped, err := skipToDay(cur, day)
-		if err != nil {
-			cur.Close()
-			return nil, err
-		}
-		return skipped, nil
-	}
-	i := sort.Search(len(s.index), func(i int) bool { return s.index[i].Day >= day })
-	if i == len(s.index) {
-		// Past the last sealed day with events: an exhausted cursor.
-		return &sliceCursor{}, nil
-	}
-	e := s.index[i]
-	return s.openFrom(e.Offset, e.Event, e.PrevDay)
-}
-
-// openFrom opens a cursor at an event boundary: byte offset off, with
-// skipped events before it and day watermark prevDay in force.
-func (s *tailSource) openFrom(off int64, skipped uint64, prevDay int32) (Cursor, error) {
-	f, err := os.Open(s.path)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	cr := &countingReader{r: f}
-	dec := resumeDecoder(bufio.NewReader(cr), s.meta, s.events-skipped, prevDay)
-	return &fileCursor{f: f, cr: cr, dec: dec}, nil
-}
-
-// eventsThrough counts sealed events with Day <= day; the EventsThrough
-// dispatch in source.go routes here, which is what lets the checkpoint
-// plane's consistency probe work against a sealed tail.
-func (s *tailSource) eventsThrough(day int32) (int64, bool) {
-	if s.index == nil {
-		return 0, false
-	}
-	i := sort.Search(len(s.index), func(i int) bool { return s.index[i].Day > day })
-	if i == len(s.index) {
-		return int64(s.events), true
-	}
-	return int64(s.index[i].Event), true
+	return src
 }

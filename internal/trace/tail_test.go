@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bufio"
+	"encoding/binary"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -245,10 +247,15 @@ func eventLayout(t *testing.T, path string) (evs []Event, ends []int64) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	meta, count, start, err := parseStreamHeader(f)
+	fi, err := f.Stat()
 	if err != nil {
 		t.Fatal(err)
 	}
+	c, err := readContainer(f, fi.Size())
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta, count, start := c.meta, c.count, c.start
 	cr := &countingReader{r: io.NewSectionReader(f, start, 1<<62)}
 	br := bufio.NewReader(cr)
 	dec := resumeDecoder(br, meta, count, 0)
@@ -339,48 +346,94 @@ func TestTailProbeTruncatedFinalDay(t *testing.T) {
 	sameEvents(t, "truncated sealed replay", got, evs[:s.Events])
 }
 
-// TestTailSourceMatchesFileSource: on a finalized file the sealed tail
-// source and FileSource are the same data plane — same meta, same full
-// pass, same day-addressed cursors, same EventsThrough answers.
+// TestTailSourceMatchesFileSource: every on-disk form of the same trace —
+// flat or RRS1, indexed or not, opened, frozen, or sealed by a tail probe —
+// is the same data plane as the in-memory slice: same meta, same
+// day-addressed cursors, and the same EventsThrough answers wherever the
+// form carries a day index (index-less forms must decline to answer).
 func TestTailSourceMatchesFileSource(t *testing.T) {
 	tr := synthTrace(400)
-	path := filepath.Join(t.TempDir(), "fin.trace")
-	encodeToFile(t, tr, path)
-
-	s, err := NewTailProbe(path).Probe()
+	tr.Meta.MergeDay = 17
+	dir := t.TempDir()
+	flat := filepath.Join(dir, "fin.trace")
+	encodeToFile(t, tr, flat)
+	oneShot := filepath.Join(dir, "oneshot.trace")
+	f, err := os.Create(oneShot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Finalized {
-		t.Fatalf("fresh probe of finalized file: %+v", s)
+	if err := Encode(f, tr); err != nil {
+		t.Fatal(err)
 	}
-	ts := s.Source()
-	fs, err := OpenFileSource(path)
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	seg := filepath.Join(dir, "fin.rrs")
+	encodeSegToFile(t, tr, seg, true)
+	data, err := os.ReadFile(seg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ts.Meta() != fs.Meta() {
-		t.Fatalf("meta: tail %+v, file %+v", ts.Meta(), fs.Meta())
+	footLen := int64(binary.LittleEndian.Uint64(data[len(data)-indexTrailerLen:]))
+	stripped := filepath.Join(dir, "nofoot.rrs")
+	if err := os.WriteFile(stripped, data[:int64(len(data))-indexTrailerLen-footLen], 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for _, day := range []int32{0, 1, 7, 23, tr.Meta.Days - 1, tr.Meta.Days + 5} {
-		tc, err := OpenSourceAt(ts, day)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fc, err := OpenSourceAt(fs, day)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, want := drainCursor(t, tc), drainCursor(t, fc)
-		tc.Close()
-		fc.Close()
-		sameEvents(t, "OpenAt", got, want)
 
-		tn, tok := EventsThrough(ts, day)
-		fn, fok := EventsThrough(fs, day)
-		if tn != fn || tok != fok {
-			t.Fatalf("EventsThrough(%d): tail (%d,%v), file (%d,%v)", day, tn, tok, fn, fok)
+	open := func(path string) MetaSource {
+		tf, err := OpenTrace(path)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return tf
+	}
+	frozen := func(path string) MetaSource { return open(path).(TraceFile).Frozen() }
+	sealed := func(path string) MetaSource {
+		s, err := NewTailProbe(path).Probe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s.Finalized {
+			t.Fatalf("fresh probe of finalized file: %+v", s)
+		}
+		return s.Source()
+	}
+	want := SliceSource(tr.Events)
+	for _, tc := range []struct {
+		name    string
+		src     func(string) MetaSource
+		path    string
+		indexed bool
+	}{
+		{"flat", open, flat, true},
+		{"flat-oneshot", open, oneShot, false},
+		{"flat-frozen", frozen, flat, true},
+		{"flat-sealed", sealed, flat, true},
+		{"rrs1", open, seg, true},
+		{"rrs1-no-footer", open, stripped, false},
+		{"rrs1-sealed", sealed, seg, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := tc.src(tc.path)
+			if src.Meta() != tr.Meta {
+				t.Fatalf("meta %+v, want %+v", src.Meta(), tr.Meta)
+			}
+			for _, day := range []int32{0, 1, 7, 23, tr.Meta.Days - 1, tr.Meta.Days + 5} {
+				got, err := src.(DaySeeker).OpenAt(day)
+				if err != nil {
+					t.Fatal(err)
+				}
+				exp, _ := want.OpenAt(day)
+				sameEvents(t, fmt.Sprintf("OpenAt(%d)", day), drainCursor(t, got), drainCursor(t, exp))
+				got.Close()
+
+				n, ok := EventsThrough(src, day)
+				wn, _ := EventsThrough(want, day)
+				if ok != tc.indexed || (ok && n != wn) {
+					t.Fatalf("EventsThrough(%d) = (%d, %v), want (%d, %v)", day, n, ok, wn, tc.indexed)
+				}
+			}
+		})
 	}
 }
 

@@ -85,15 +85,10 @@ func GenerateToFile(cfg GenConfig, path string) (Meta, error) {
 	return gen.GenerateToFile(cfg, path)
 }
 
-// OpenTraceFile validates a trace file's header and returns a re-openable
-// source that replays it off disk with O(state) memory.
-func OpenTraceFile(path string) (MetaSource, error) {
-	fs, err := trace.OpenFileSource(path)
-	if err != nil {
-		return nil, err
-	}
-	return fs, nil
-}
+// OpenTraceFile validates a trace file's header — flat or compressed
+// RRS1 — and returns a re-openable source that replays it off disk with
+// O(state) memory.
+func OpenTraceFile(path string) (MetaSource, error) { return trace.OpenTrace(path) }
 
 // DefaultPipeline returns the paper's analysis parameters at scaled sizes.
 func DefaultPipeline() Pipeline { return core.DefaultConfig() }

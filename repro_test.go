@@ -164,6 +164,22 @@ func TestValidateSourceFacade(t *testing.T) {
 	if err := ValidateSource(src); err != nil {
 		t.Fatal(err)
 	}
+	// The compressed RRS1 container opens through the same facade call
+	// and validates to the same trace.
+	segPath := filepath.Join(t.TempDir(), "v.rrs")
+	if _, err := gen.GenerateToSegFile(cfg, segPath); err != nil {
+		t.Fatal(err)
+	}
+	seg, err := OpenTraceFile(segPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seg.Meta() != src.Meta() {
+		t.Fatalf("RRS1 meta %+v, flat %+v", seg.Meta(), src.Meta())
+	}
+	if err := ValidateSource(seg); err != nil {
+		t.Fatal(err)
+	}
 	// A truncated payload must surface through the streaming validator
 	// (the header still parses, so the damage only shows mid-pass). The
 	// cut lands inside the event stream, past the day-index footer whose
