@@ -637,6 +637,124 @@ func BenchmarkSubstrateLouvain(b *testing.B) {
 	}
 }
 
+// kernelInput is a frozen pair of consecutive community snapshots — the
+// last day of a trace and the snapshot three days before it — with the
+// incremental Louvain seed chain run on both, so a kernel benchmark can
+// time exactly one snapshot's work.
+type kernelInput struct {
+	prev, cur         *graph.Frozen
+	prevComm, curComm []int32
+	day               int32
+}
+
+var (
+	kernelOnce sync.Once
+	kernelIn   *kernelInput
+	kernelErr  error
+)
+
+// kernelSnapshots builds the kernel benchmarks' input once: the default
+// preset, or the test-scale preset under -short.
+func kernelSnapshots(b *testing.B) *kernelInput {
+	b.Helper()
+	kernelOnce.Do(func() {
+		gcfg := gen.DefaultConfig()
+		if testing.Short() {
+			gcfg = gen.SmallConfig()
+		}
+		tr, err := gen.Generate(gcfg)
+		if err != nil {
+			kernelErr = err
+			return
+		}
+		last := tr.Events[len(tr.Events)-1].Day
+		in := &kernelInput{day: last}
+		st, err := trace.Replay(tr.Events, trace.Hooks{OnDayEnd: func(st *trace.State, day int32) {
+			if day == last-3 {
+				in.prev = st.Graph.Freeze()
+			}
+		}})
+		if err != nil {
+			kernelErr = err
+			return
+		}
+		in.cur = st.Graph.Freeze()
+		opt := louvain.Options{Delta: 0.01, Seed: 1}
+		pr, err := louvain.Run(in.prev, opt)
+		if err != nil {
+			kernelErr = err
+			return
+		}
+		in.prevComm = pr.Community
+		opt.Init = incrementalInit(in.prevComm, in.cur.NumNodes())
+		cr, err := louvain.Run(in.cur, opt)
+		if err != nil {
+			kernelErr = err
+			return
+		}
+		in.curComm = cr.Community
+		kernelIn = in
+	})
+	if kernelErr != nil {
+		b.Fatal(kernelErr)
+	}
+	return kernelIn
+}
+
+// incrementalInit extends a previous snapshot's assignment to n nodes the
+// way the community detector does: nodes that joined since get -1.
+func incrementalInit(prev []int32, n int) []int32 {
+	init := make([]int32, n)
+	for i := range init {
+		init[i] = -1
+		if i < len(prev) {
+			init[i] = prev[i]
+		}
+	}
+	return init
+}
+
+// BenchmarkLouvainRunPrepared times one incremental Louvain run (δ=0.01)
+// over a frozen default-preset snapshot, seeded from the previous
+// snapshot's partition as the pipeline does. Preparation is outside the
+// timer: it aliases the frozen CSR and is shared across a sweep's δ.
+func BenchmarkLouvainRunPrepared(b *testing.B) {
+	in := kernelSnapshots(b)
+	prep := louvain.Prepare(in.cur)
+	opt := louvain.Options{Delta: 0.01, Seed: 1, Init: incrementalInit(in.prevComm, in.cur.NumNodes())}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := louvain.RunPrepared(prep, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			b.Logf("%d nodes: %d communities, %d levels, Q=%.4f", prep.NumNodes(), res.NumCommunities(), res.Levels, res.Modularity)
+		}
+	}
+}
+
+// BenchmarkTrackerAdvance times one tracker step over a frozen
+// default-preset snapshot: grouping, Jaccard matching against the
+// previous snapshot's communities, features and inter-community ties.
+// Priming the tracker with the previous snapshot is outside the timer.
+func BenchmarkTrackerAdvance(b *testing.B) {
+	in := kernelSnapshots(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		tr := tracking.NewTracker(community.DefaultOptions().MinSize)
+		tr.Advance(in.day-3, in.prev, tracking.Assignment(in.prevComm))
+		b.StartTimer()
+		snap := tr.Advance(in.day, in.cur, tracking.Assignment(in.curComm))
+		if i == 0 {
+			b.Logf("%d nodes: %d tracked communities, avg similarity %.3f", in.cur.NumNodes(), len(snap.Communities), snap.AvgSimilarity)
+		}
+	}
+}
+
 func BenchmarkSubstrateGenerate(b *testing.B) {
 	cfg := gen.SmallConfig()
 	b.ResetTimer()

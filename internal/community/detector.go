@@ -158,6 +158,11 @@ func (d *Detector) Finish() error {
 	}
 	d.res.Events = d.tracker.Events()
 	d.res.Histories = d.tracker.Histories()
+	// Only the final snapshot's node -> community lookup is ever read
+	// (CommunityOfNode, the users stage), so it is built once, here.
+	if d.res.Final != nil {
+		d.res.Final.IndexNodes()
+	}
 	d.done = true
 	return nil
 }

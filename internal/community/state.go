@@ -108,7 +108,6 @@ func (d *Detector) loadState(dec *checkpoint.Decoder) error {
 			Day:           dec.I32(),
 			AvgSimilarity: dec.F64(),
 			Communities:   map[int64][]graph.NodeID{},
-			NodeCommunity: map[graph.NodeID]int64{},
 		}
 		cn := dec.Len()
 		for i := 0; i < cn && dec.Err() == nil; i++ {
@@ -116,9 +115,7 @@ func (d *Detector) loadState(dec *checkpoint.Decoder) error {
 			nn := dec.Len()
 			nodes := make([]graph.NodeID, 0, min(nn, 1<<16))
 			for j := 0; j < nn && dec.Err() == nil; j++ {
-				u := dec.I32()
-				nodes = append(nodes, u)
-				f.NodeCommunity[u] = id
+				nodes = append(nodes, dec.I32())
 			}
 			f.Communities[id] = nodes
 		}

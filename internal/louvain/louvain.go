@@ -17,7 +17,7 @@ package louvain
 import (
 	"errors"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -32,8 +32,11 @@ type Options struct {
 	// Seed drives the node-visiting order shuffle.
 	Seed int64
 	// Init optionally assigns each node an initial community label
-	// (incremental mode). Labels need not be dense. A label of -1 puts
-	// the node in its own singleton community. nil means all singletons.
+	// (incremental mode). nil means all singletons. Labels need not be
+	// dense: they are renumbered by first appearance, and every distinct
+	// value is one starting community. That includes -1: all nodes
+	// labeled -1 start together in one shared community, not as
+	// singletons.
 	Init []int32
 }
 
@@ -68,34 +71,38 @@ func (r *Result) Groups() [][]graph.NodeID {
 	return out
 }
 
-// wgraph is a weighted multigraph. It has two storage forms:
+// wgraph is a weighted multigraph in CSR form: off/tgt index each node's
+// neighbors, excluding self loops, which live in self. It has two weight
+// forms:
 //
-//   - Level 0 (the input graph, all weights exactly 1): a compact CSR —
-//     off/tgt — with no self loops. A million-node snapshot costs two flat
-//     arrays instead of a million small maps, which used to be the single
-//     largest item on the replay heap.
-//   - Aggregation levels (a few thousand super-nodes with fractional
-//     weights): neighbor->weight maps, as before.
+//   - Level 0 (the input graph): all weights exactly 1 and no self loops,
+//     so wt, self and deg stay nil and a node's degree is its row length.
+//     A million-node snapshot costs two flat arrays, aliased straight from
+//     a Frozen snapshot when there is one.
+//   - Aggregation levels (one super-node per community of the level
+//     below): wt carries each arc's weight, self the intra-community
+//     weight, deg the weighted degree including 2*self.
 //
-// Every weight in either form is a multiple of 0.5, which float64
-// represents exactly, so sums are independent of accumulation order and
-// the two forms produce bit-identical modularity and move decisions.
+// Every weight at every level is a multiple of 0.5 far below 2^52, which
+// float64 represents exactly, so every sum of weights — community degree
+// mass, intra-community weight, link weight to a community — is exact and
+// independent of accumulation order. That is what lets the optimizer keep
+// those sums as running columns (see localMove) and still produce the
+// same move decisions and modularity bits as a from-scratch recompute.
 type wgraph struct {
-	n int
-	// Level-0 CSR form (off != nil): unit weights, no self loops.
-	off []int64
-	tgt []int32
-	// Aggregated map form.
-	adj  []map[int32]float64 // neighbor -> weight, excluding self loops
-	self []float64           // self-loop weight (intra-community weight)
-	deg  []float64           // weighted degree incl. 2*self
+	n    int
+	off  []int64
+	tgt  []int32
+	wt   []float64 // arc weights; nil = all 1
+	self []float64 // self-loop weight per node; nil = all 0
+	deg  []float64 // weighted degree incl. 2*self; nil = row length
 
 	total float64 // 2m: sum of all degrees
 }
 
-// degree returns u's weighted degree in either storage form.
+// degree returns u's weighted degree.
 func (w *wgraph) degree(u int32) float64 {
-	if w.off != nil {
+	if w.deg == nil {
 		return float64(w.off[u+1] - w.off[u])
 	}
 	return w.deg[u]
@@ -103,7 +110,7 @@ func (w *wgraph) degree(u int32) float64 {
 
 // selfWeight returns u's self-loop weight (always 0 at level 0).
 func (w *wgraph) selfWeight(u int32) float64 {
-	if w.off != nil {
+	if w.self == nil {
 		return 0
 	}
 	return w.self[u]
@@ -135,37 +142,59 @@ func newWGraphFromGraph(g graph.View) *wgraph {
 	return w
 }
 
-// modularity computes Q for the given community assignment over w. It uses
-// dense arrays indexed by label so summation order (and therefore floating-
-// point rounding) is deterministic.
-func (w *wgraph) modularity(comm []int32) float64 {
-	if w.total == 0 {
-		return 0
-	}
-	nc := maxLabel(comm) + 1
-	in := make([]float64, nc)  // 2 * intra-community weight
-	tot := make([]float64, nc) // degree mass per community
+// columns returns, for an assignment with labels in [0, nc), each
+// community's intra weight counted from both sides (in) and its degree
+// mass (tot). Both are exact sums (see wgraph).
+func (w *wgraph) columns(comm []int32, nc int) (in, tot []float64) {
+	in = make([]float64, nc)
+	tot = make([]float64, nc)
 	for u := 0; u < w.n; u++ {
 		c := comm[u]
 		tot[c] += w.degree(int32(u))
-		if w.off != nil {
-			for i := w.off[u]; i < w.off[u+1]; i++ {
-				if comm[w.tgt[i]] == c {
-					in[c]++ // unit weight, counted from both sides → totals 2w
+		in[c] += 2 * w.selfWeight(int32(u))
+		row := w.tgt[w.off[u]:w.off[u+1]]
+		if w.wt == nil {
+			for _, v := range row {
+				if comm[v] == c {
+					in[c]++
 				}
 			}
 			continue
 		}
-		in[c] += 2 * w.self[u]
-		for v, wt := range w.adj[u] {
+		wts := w.wt[w.off[u]:w.off[u+1]]
+		for i, v := range row {
 			if comm[v] == c {
-				in[c] += wt // counted from both sides → totals 2w
+				in[c] += wts[i]
 			}
 		}
 	}
+	return in, tot
+}
+
+// modTerm is community c's modularity contribution from its exact in and
+// tot sums. Every modularity in this package is a sum of modTerm values
+// in ascending label order, so equal sums give equal bits.
+func modTerm(in, tot, m2 float64) float64 {
+	return in/m2 - (tot/m2)*(tot/m2)
+}
+
+// modularity computes Q for the given community assignment over w from
+// scratch, summing per-community terms in ascending label order.
+func (w *wgraph) modularity(comm []int32) float64 {
+	if w.total == 0 {
+		return 0
+	}
+	in, tot := w.columns(comm, int(maxLabel(comm)+1))
+	return sumQ(in, tot, w.total)
+}
+
+// sumQ sums modTerm over labels in ascending order. Empty labels
+// contribute exactly +0, so trailing or interleaved empty labels leave
+// the bits of the sum unchanged.
+func sumQ(in, tot []float64, m2 float64) float64 {
 	var q float64
-	for c := int32(0); c < nc; c++ {
-		q += in[c]/w.total - (tot[c]/w.total)*(tot[c]/w.total)
+	for c := range tot {
+		q += modTerm(in[c], tot[c], m2)
 	}
 	return q
 }
@@ -175,13 +204,10 @@ var ErrInitLength = errors.New("louvain: init assignment length mismatch")
 
 // Prepared is a Louvain-ready weighted view of a graph: the level-0
 // weighted adjacency built once by Prepare and read, never written, by
-// RunPrepared. It exists for two reasons. First, a single run needs the
-// base weighted graph twice — for optimization and for the final
-// modularity — and Prepared makes that one build instead of two. Second,
-// it is safe to share between any number of concurrent RunPrepared calls,
-// so the δ-sweep builds one Prepared per frozen snapshot and every per-δ
-// worker reuses it, instead of K workers re-deriving identical weighted
-// graphs.
+// RunPrepared. It is safe to share between any number of concurrent
+// RunPrepared calls, so the δ-sweep builds one Prepared per frozen
+// snapshot and every per-δ worker reuses it, instead of K workers
+// re-deriving identical weighted graphs.
 type Prepared struct {
 	w *wgraph
 }
@@ -238,10 +264,10 @@ func RunPrepared(p *Prepared, opt Options) (*Result, error) {
 	levels := 0
 	prevQ := 0.0
 	for level := 0; level < maxLevels; level++ {
-		comm := localMove(w, init, opt.Delta, rng)
+		comm, in, tot := localMove(w, init, opt.Delta, rng)
 		init = nil // only the first level is seeded
 		dense := densify(comm)
-		q := w.modularity(dense)
+		q := firstSeenQ(dense, comm, in, tot, w.total)
 		if level > 0 && q-prevQ < opt.Delta {
 			break // this level is not worth δ; discard it
 		}
@@ -264,9 +290,35 @@ func RunPrepared(p *Prepared, opt Options) (*Result, error) {
 		w = w.aggregate(dense, int(nc))
 	}
 
-	res := &Result{Community: densify(final), Levels: levels}
-	res.Modularity = p.w.modularity(res.Community)
-	return res, nil
+	// final is already dense in first-appearance order: each level numbers
+	// its communities by their first super-node, and super-nodes are in
+	// first-appearance order of their smallest original node. So the last
+	// accepted level's q sums the same exact per-community terms (the
+	// aggregation preserves in, tot and the total exactly) in the same
+	// label order as p.w.modularity(final) would, without its O(E) pass.
+	return &Result{Community: final, Modularity: prevQ, Levels: levels}, nil
+}
+
+// firstSeenQ is the modularity of the assignment dense, whose labels are
+// numbered by first appearance, read off localMove's exact per-community
+// sums kept under other labels: label d's in and tot sit at index src[u]
+// for any u with dense[u] == d. Walking the nodes and emitting each
+// label's term on its first appearance sums the terms in ascending
+// dense-label order, so the result has the same bits as w.modularity(dense).
+func firstSeenQ(dense, src []int32, in, tot []float64, m2 float64) float64 {
+	if m2 == 0 {
+		return 0
+	}
+	var q float64
+	next := int32(0)
+	for u, d := range dense {
+		if d == next {
+			c := src[u]
+			q += modTerm(in[c], tot[c], m2)
+			next++
+		}
+	}
+	return q
 }
 
 // Modularity computes the modularity of an arbitrary assignment on g,
@@ -279,70 +331,75 @@ func Modularity(g graph.View, comm []int32) float64 {
 }
 
 // localMove runs the phase-1 sweeps on w starting from init (nil =
-// singletons, -1 entries = singleton) until a sweep gains less than delta.
-func localMove(w *wgraph, init []int32, delta float64, rng *rand.Rand) []int32 {
-	comm := make([]int32, w.n)
+// singletons; otherwise labels already densified into [0, n)) until a
+// sweep gains less than delta. It returns the assignment together with
+// the per-label intra weight (in, counted from both sides) and degree
+// mass (tot) columns, indexed by label, that it kept current move by move.
+//
+// Labels always lie in [0, n), so every per-label aggregate is a flat
+// column. The sweep modularity is read off in and tot in O(labels)
+// instead of an O(E) recompute; because both columns hold exact sums
+// (see wgraph) and the terms are added in ascending label order, it has
+// the same bits as w.modularity(comm).
+func localMove(w *wgraph, init []int32, delta float64, rng *rand.Rand) (comm []int32, in, tot []float64) {
+	comm = make([]int32, w.n)
 	if init == nil {
 		for i := range comm {
 			comm[i] = int32(i)
 		}
 	} else {
-		next := maxLabel(init) + 1
-		for i, c := range init {
-			if c < 0 {
-				comm[i] = next
-				next++
-			} else {
-				comm[i] = c
-			}
-		}
-	}
-
-	// Community aggregates.
-	tot := make(map[int32]float64, w.n)
-	for u := 0; u < w.n; u++ {
-		tot[comm[u]] += w.degree(int32(u))
+		copy(comm, init)
 	}
 
 	order := rng.Perm(w.n)
 	m2 := w.total
 	if m2 == 0 {
-		return comm
+		return comm, nil, nil
 	}
-	// links and keys are hoisted out of the node loop and wiped between
-	// nodes (a delete per touched key, not a rebuild) — the sweep visits
-	// every node every pass, so a fresh map per node dominated the
-	// allocation profile of large runs.
-	links := make(map[int32]float64, 64)
-	var keysBuf []int32
+	if init == nil {
+		// Singletons: a node's community holds only its own self loop.
+		in, tot = make([]float64, w.n), make([]float64, w.n)
+		for u := range tot {
+			in[u], tot[u] = 2*w.selfWeight(int32(u)), w.degree(int32(u))
+		}
+	} else {
+		in, tot = w.columns(comm, w.n)
+	}
 
-	prevQ := w.modularity(comm)
+	// links[c] is u's link weight to community c and touched lists the
+	// labels it set, in first-touch order; both are wiped after each node.
+	// Weights are positive, so links[c] == 0 means "not yet touched".
+	links := make([]float64, w.n)
+	var touched []int32
+
+	prevQ := sumQ(in, tot, m2)
 	for sweep := 0; sweep < 128; sweep++ {
 		moved := false
 		for _, ui := range order {
 			u := int32(ui)
 			cu := comm[u]
-			// Weights from u to each neighboring community, visited in
-			// sorted label order so that tie-breaking is deterministic.
-			keys := keysBuf[:0]
-			if w.off != nil {
-				for i := w.off[u]; i < w.off[u+1]; i++ {
-					c := comm[w.tgt[i]]
-					if _, seen := links[c]; !seen {
-						keys = append(keys, c)
+			lo, hi := w.off[u], w.off[u+1]
+			if w.wt == nil {
+				for _, v := range w.tgt[lo:hi] {
+					c := comm[v]
+					if links[c] == 0 {
+						touched = append(touched, c)
 					}
 					links[c]++ // unit weight
 				}
 			} else {
-				for v, wt := range w.adj[u] {
+				wts := w.wt[lo:hi]
+				for i, v := range w.tgt[lo:hi] {
 					c := comm[v]
-					if _, seen := links[c]; !seen {
-						keys = append(keys, c)
+					if links[c] == 0 {
+						touched = append(touched, c)
 					}
-					links[c] += wt
+					links[c] += wts[i]
 				}
 			}
-			sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
+			// Candidates are visited in sorted label order so that
+			// tie-breaking is deterministic.
+			slices.Sort(touched)
 			// Remove u from its community.
 			du := w.degree(u)
 			tot[cu] -= du
@@ -350,7 +407,7 @@ func localMove(w *wgraph, init []int32, delta float64, rng *rand.Rand) []int32 {
 			// k_{u,in}(c) - tot_c * k_u / m2.
 			best := cu
 			bestGain := links[cu] - tot[cu]*du/m2
-			for _, c := range keys {
+			for _, c := range touched {
 				if c == cu {
 					continue
 				}
@@ -359,86 +416,120 @@ func localMove(w *wgraph, init []int32, delta float64, rng *rand.Rand) []int32 {
 					best, bestGain = c, gain
 				}
 			}
-			for _, c := range keys {
-				delete(links, c)
-			}
-			keysBuf = keys
-			comm[u] = best
-			tot[best] += du
 			if best != cu {
+				su := 2 * w.selfWeight(u)
+				in[cu] -= 2*links[cu] + su
+				in[best] += 2*links[best] + su
+				comm[u] = best
 				moved = true
 			}
+			tot[best] += du
+			for _, c := range touched {
+				links[c] = 0
+			}
+			touched = touched[:0]
 		}
 		if !moved {
 			break
 		}
-		q := w.modularity(comm)
+		q := sumQ(in, tot, m2)
 		if q-prevQ < delta {
 			break
 		}
 		prevQ = q
 	}
-	return comm
+	return comm, in, tot
 }
 
 // aggregate builds the super-graph where each community becomes one node.
+// Members are bucketed by community, then each community's arcs are
+// summed into a flat per-neighbor column and emitted as one CSR row.
 func (w *wgraph) aggregate(comm []int32, nc int) *wgraph {
+	start := make([]int32, nc+1)
+	for _, c := range comm {
+		start[c+1]++
+	}
+	for c := 0; c < nc; c++ {
+		start[c+1] += start[c]
+	}
+	members := make([]int32, w.n)
+	fill := slices.Clone(start[:nc])
+	for u, c := range comm {
+		members[fill[c]] = int32(u)
+		fill[c]++
+	}
+
 	out := &wgraph{
 		n:    nc,
-		adj:  make([]map[int32]float64, nc),
+		off:  make([]int64, nc+1),
 		self: make([]float64, nc),
 		deg:  make([]float64, nc),
 	}
-	for u := 0; u < w.n; u++ {
-		cu := comm[u]
-		out.self[cu] += w.selfWeight(int32(u))
-		if w.off != nil {
-			for i := w.off[u]; i < w.off[u+1]; i++ {
-				cv := comm[w.tgt[i]]
+	acc := make([]float64, nc)
+	var touched []int32
+	for cu := int32(0); int(cu) < nc; cu++ {
+		self := 0.0
+		for _, u := range members[start[cu]:start[cu+1]] {
+			self += w.selfWeight(u)
+			lo, hi := w.off[u], w.off[u+1]
+			for i, v := range w.tgt[lo:hi] {
+				wt := 1.0
+				if w.wt != nil {
+					wt = w.wt[lo+int64(i)]
+				}
+				cv := comm[v]
 				if cv == cu {
-					out.self[cu] += 0.5 // unit weight seen from both sides
+					self += wt / 2 // seen from both sides
 					continue
 				}
-				if out.adj[cu] == nil {
-					out.adj[cu] = make(map[int32]float64)
+				if acc[cv] == 0 {
+					touched = append(touched, cv)
 				}
-				out.adj[cu][cv]++
+				acc[cv] += wt
 			}
-			continue
 		}
-		for v, wt := range w.adj[u] {
-			cv := comm[v]
-			if cv == cu {
-				out.self[cu] += wt / 2 // seen from both sides
-				continue
-			}
-			if out.adj[cu] == nil {
-				out.adj[cu] = make(map[int32]float64)
-			}
-			out.adj[cu][cv] += wt
+		d := 2 * self
+		for _, cv := range touched {
+			out.tgt = append(out.tgt, cv)
+			out.wt = append(out.wt, acc[cv])
+			d += acc[cv]
+			acc[cv] = 0
 		}
-	}
-	for u := 0; u < nc; u++ {
-		d := 2 * out.self[u]
-		for _, wt := range out.adj[u] {
-			d += wt
-		}
-		out.deg[u] = d
+		touched = touched[:0]
+		out.off[cu+1] = int64(len(out.tgt))
+		out.self[cu] = self
+		out.deg[cu] = d
 		out.total += d
 	}
 	return out
 }
 
-// densify renumbers labels to a dense [0, k) range preserving identity.
+// densify renumbers labels to a dense [0, k) range in order of first
+// appearance. Labels in [0, len(labels)) — every label the optimizer
+// produces — remap through a flat column; only Init can carry labels
+// outside that range (-1, or sparse large ids), and those go through a map.
 func densify(labels []int32) []int32 {
-	remap := make(map[int32]int32, 64)
-	out := make([]int32, len(labels))
+	n := len(labels)
+	out := make([]int32, n)
+	remap := make([]int32, n) // label -> dense+1, 0 = unseen
+	var wide map[int32]int32
 	var next int32
 	for i, l := range labels {
-		d, ok := remap[l]
+		if uint32(l) < uint32(n) {
+			if remap[l] == 0 {
+				next++
+				remap[l] = next
+			}
+			out[i] = remap[l] - 1
+			continue
+		}
+		d, ok := wide[l]
 		if !ok {
+			if wide == nil {
+				wide = make(map[int32]int32)
+			}
 			d = next
-			remap[l] = d
+			wide[l] = d
 			next++
 		}
 		out[i] = d

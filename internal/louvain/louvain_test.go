@@ -1,6 +1,7 @@
 package louvain
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -279,5 +280,51 @@ func TestDensify(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("densify = %v, want %v", got, want)
 		}
+	}
+}
+
+// TestInitMinusOneIsOneSharedCommunity pins what Options.Init does with
+// -1 labels: they are densified like any other value, so every -1 node
+// starts in one shared community rather than as a singleton. A seed of
+// all -1 is therefore the one-community partition, which no local move
+// can leave (no node has a neighbor in another community), giving Q = 0.
+func TestInitMinusOneIsOneSharedCommunity(t *testing.T) {
+	g := twoCliques(8)
+	all := make([]int32, g.NumNodes())
+	for i := range all {
+		all[i] = -1
+	}
+	res, err := Run(g, Options{Delta: 1e-6, Seed: 1, Init: all})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.NumCommunities() != 1 || res.Modularity != 0 {
+		t.Fatalf("all -1 seed: %d communities, Q=%v; want 1 community, Q=0", res.NumCommunities(), res.Modularity)
+	}
+
+	// A -1 label behaves exactly like a fresh shared label.
+	g2, _ := plantedPartition(3, 10, 0.6, 0.05, 21)
+	mixed := make([]int32, g2.NumNodes())
+	fresh := make([]int32, g2.NumNodes())
+	for i := range mixed {
+		mixed[i] = int32(i % 4)
+		if i%3 == 0 {
+			mixed[i] = -1
+		}
+		fresh[i] = mixed[i]
+		if fresh[i] < 0 {
+			fresh[i] = 99
+		}
+	}
+	a, err := Run(g2, Options{Delta: 0.01, Seed: 2, Init: mixed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Run(g2, Options{Delta: 0.01, Seed: 2, Init: fresh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a.Community, b.Community) || a.Modularity != b.Modularity {
+		t.Fatal("-1 seed labels must act as one fresh shared label")
 	}
 }

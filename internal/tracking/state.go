@@ -1,6 +1,10 @@
 package tracking
 
 import (
+	"cmp"
+	"fmt"
+	"slices"
+
 	"repro/internal/checkpoint"
 	"repro/internal/graph"
 )
@@ -8,9 +12,9 @@ import (
 // Checkpoint codec for the tracker: everything the cross-snapshot
 // matching depends on — the previous snapshot's communities (in their
 // deterministic sorted order), the inter-community tie counts, the id
-// allocator, and the accumulated events and histories. The transient
-// selfSim map is rebuilt inside every Advance and is deliberately not
-// state.
+// allocator, and the accumulated events and histories. The node slot
+// column is scratch that every Advance leaves all -1, and is
+// deliberately not state.
 
 // SaveState serializes the tracker through e.
 func (t *Tracker) SaveState(e *checkpoint.Encoder) {
@@ -25,14 +29,23 @@ func (t *Tracker) SaveState(e *checkpoint.Encoder) {
 			e.I32(u)
 		}
 	}
-	e.U64(uint64(len(t.prevTie)))
-	for _, id := range checkpoint.SortedKeys(t.prevTie) {
-		e.I64(id)
-		ties := t.prevTie[id]
+	// Tie rows of communities with at least one inter-community edge, by
+	// community id.
+	var rows []int
+	for i := range t.prev {
+		if t.prevTieOff[i+1] > t.prevTieOff[i] {
+			rows = append(rows, i)
+		}
+	}
+	slices.SortFunc(rows, func(a, b int) int { return cmp.Compare(t.prev[a].id, t.prev[b].id) })
+	e.U64(uint64(len(rows)))
+	for _, i := range rows {
+		e.I64(t.prev[i].id)
+		ties := t.prevTies[t.prevTieOff[i]:t.prevTieOff[i+1]]
 		e.U64(uint64(len(ties)))
-		for _, other := range checkpoint.SortedKeys(ties) {
-			e.I64(other)
-			e.I64(ties[other])
+		for _, tc := range ties {
+			e.I64(tc.id)
+			e.I64(tc.n)
 		}
 	}
 	e.U64(uint64(len(t.events)))
@@ -74,32 +87,40 @@ func (t *Tracker) LoadState(d *checkpoint.Decoder) error {
 	if hadPrev {
 		t.prev = make([]*community, 0, min(n, 1<<16))
 	}
+	slotOf := make(map[int64]int, len(t.prev))
 	for i := 0; i < n && d.Err() == nil; i++ {
 		c := &community{id: d.I64()}
 		cn := d.Len()
 		c.nodes = make([]graph.NodeID, 0, min(cn, 1<<16))
-		c.set = make(map[graph.NodeID]struct{}, min(cn, 1<<16))
 		for j := 0; j < cn && d.Err() == nil; j++ {
-			u := d.I32()
-			c.nodes = append(c.nodes, u)
-			c.set[u] = struct{}{}
+			c.nodes = append(c.nodes, d.I32())
 		}
+		slotOf[c.id] = len(t.prev)
 		t.prev = append(t.prev, c)
 	}
 	n = d.Len()
-	t.prevTie = nil
-	if n > 0 {
-		t.prevTie = make(map[int64]map[int64]int64, min(n, 1<<16))
-	}
+	rows := make([][]tie, len(t.prev))
 	for i := 0; i < n && d.Err() == nil; i++ {
 		id := d.I64()
 		tn := d.Len()
-		ties := make(map[int64]int64, min(tn, 1<<16))
+		ties := make([]tie, 0, min(tn, 1<<16))
 		for j := 0; j < tn && d.Err() == nil; j++ {
-			other := d.I64()
-			ties[other] = d.I64()
+			ties = append(ties, tie{id: d.I64(), n: d.I64()})
 		}
-		t.prevTie[id] = ties
+		slot, ok := slotOf[id]
+		if !ok {
+			if d.Err() != nil {
+				break
+			}
+			return fmt.Errorf("tracking: tie row for unknown community %d", id)
+		}
+		rows[slot] = ties
+	}
+	t.prevTieOff = make([]int, len(t.prev)+1)
+	t.prevTies = nil
+	for i, ties := range rows {
+		t.prevTies = append(t.prevTies, ties...)
+		t.prevTieOff[i+1] = len(t.prevTies)
 	}
 	n = d.Len()
 	t.events = make([]Event, 0, min(n, 1<<16))

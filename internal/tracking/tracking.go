@@ -19,6 +19,8 @@
 package tracking
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -119,7 +121,12 @@ func (h *History) Lifetime(now int32) int32 {
 type community struct {
 	id    int64
 	nodes []graph.NodeID
-	set   map[graph.NodeID]struct{}
+}
+
+// tie is one entry of a community's inter-community edge counts: the
+// other community's identity and the number of edges between the two.
+type tie struct {
+	id, n int64
 }
 
 // Tracker matches communities across snapshots and accumulates events,
@@ -138,13 +145,21 @@ type Tracker struct {
 	// nodes" reading — the ablation bench compares both.
 	MergeContainment float64
 
-	nextID  int64
-	prev    []*community
-	prevTie map[int64]map[int64]int64 // prev snapshot's inter-community edge counts
-	selfSim map[int64]float64         // current snapshot's matched similarity per id
-	events  []Event
-	hist    map[int64]*History
-	lastDay int32
+	nextID int64
+	prev   []*community
+	// The previous snapshot's inter-community edge counts: prev[i]'s
+	// entries are prevTies[prevTieOff[i]:prevTieOff[i+1]], sorted by the
+	// other community's id.
+	prevTieOff []int
+	prevTies   []tie
+	events     []Event
+	hist       map[int64]*History
+	lastDay    int32
+
+	// slot is scratch over node ids: during Advance, slot[u] is the index
+	// in the current snapshot's community list of u's community, or -1.
+	// It is all -1 between calls.
+	slot []int32
 }
 
 // NewTracker creates a tracker with the given minimum community size.
@@ -156,7 +171,8 @@ func NewTracker(minSize int) *Tracker {
 }
 
 // Assignment is a per-node community labeling, -1 for unassigned nodes.
-// Labels must be dense enough to group by; they carry no cross-snapshot
+// Labels index a per-label column, so they should be dense (at most
+// len(assignment)-1, as Louvain's are); they carry no cross-snapshot
 // meaning (identity comes from the tracker).
 type Assignment []int32
 
@@ -170,7 +186,23 @@ type SnapshotResult struct {
 	// (the robustness metric of Fig 4b). Zero when nothing matched.
 	AvgSimilarity float64
 	// NodeCommunity maps node -> tracked identity (only community nodes).
+	// Advance leaves it nil; IndexNodes fills it for the snapshots whose
+	// per-node lookup is actually read.
 	NodeCommunity map[graph.NodeID]int64
+}
+
+// IndexNodes builds NodeCommunity from Communities.
+func (r *SnapshotResult) IndexNodes() {
+	n := 0
+	for _, nodes := range r.Communities {
+		n += len(nodes)
+	}
+	r.NodeCommunity = make(map[graph.NodeID]int64, n)
+	for id, nodes := range r.Communities {
+		for _, u := range nodes {
+			r.NodeCommunity[u] = id
+		}
+	}
 }
 
 // Advance feeds the tracker the next snapshot: the graph as of `day` and a
@@ -180,110 +212,153 @@ type SnapshotResult struct {
 // each maintaining a private live graph.
 func (t *Tracker) Advance(day int32, g graph.View, assign Assignment) *SnapshotResult {
 	t.lastDay = day
-	// Group nodes by label, filtering small communities.
-	byLabel := map[int32][]graph.NodeID{}
-	for u, c := range assign {
-		if c >= 0 {
-			byLabel[c] = append(byLabel[c], graph.NodeID(u))
+	cur := t.group(assign)
+
+	// Claim each member's slot for the whole Advance: match reads it for
+	// the overlaps, recordFeatures for intra and inter-community edges.
+	n := max(len(assign), g.NumNodes())
+	for len(t.slot) < n {
+		t.slot = append(t.slot, -1)
+	}
+	for j, c := range cur {
+		for _, u := range c.nodes {
+			t.slot[u] = int32(j)
 		}
 	}
-	var cur []*community
-	for _, nodes := range byLabel {
-		if len(nodes) < t.MinSize {
-			continue
+	selfSim, simSum, simCount := t.match(day, cur)
+	t.recordFeatures(day, g, cur, selfSim)
+	for _, c := range cur {
+		for _, u := range c.nodes {
+			t.slot[u] = -1
 		}
-		set := make(map[graph.NodeID]struct{}, len(nodes))
-		for _, u := range nodes {
-			set[u] = struct{}{}
-		}
-		cur = append(cur, &community{nodes: nodes, set: set})
 	}
-	// Deterministic order (labels iterate randomly out of the map).
-	sort.Slice(cur, func(i, j int) bool { return cur[i].nodes[0] < cur[j].nodes[0] })
 
-	simSum, simCount := t.match(day, cur)
-
-	// Record features and build result.
 	res := &SnapshotResult{
-		Day:           day,
-		Communities:   make(map[int64][]graph.NodeID, len(cur)),
-		NodeCommunity: make(map[graph.NodeID]int64),
+		Day:         day,
+		Communities: make(map[int64][]graph.NodeID, len(cur)),
 	}
 	if simCount > 0 {
 		res.AvgSimilarity = simSum / float64(simCount)
 	}
-	nodeComm := make(map[graph.NodeID]int64, g.NumNodes()/2)
 	for _, c := range cur {
 		res.Communities[c.id] = c.nodes
-		for _, u := range c.nodes {
-			nodeComm[u] = c.id
-			res.NodeCommunity[u] = c.id
-		}
 	}
-	t.recordFeatures(day, g, cur, nodeComm)
-	t.prevTie = interCommunityTies(g, nodeComm)
 	t.prev = cur
 	return res
 }
 
-// match assigns identities to cur communities and emits events. It returns
-// the sum and count of matched similarities.
-func (t *Tracker) match(day int32, cur []*community) (simSum float64, simCount int) {
-	t.selfSim = make(map[int64]float64, len(cur))
+// group buckets nodes by label and keeps the communities of at least
+// MinSize nodes, ordered by their smallest member. Members are ascending
+// within a community, and labels first appear in ascending order of their
+// smallest member, so a single counting pass yields that order. nil when
+// no community is kept.
+func (t *Tracker) group(assign Assignment) []*community {
+	maxL := int32(-1)
+	for _, c := range assign {
+		maxL = max(maxL, c)
+	}
+	// count[c] is label c's size, then its write cursor in the shared
+	// member array (-1 once the label is dropped).
+	count := make([]int32, maxL+1)
+	var order []int32 // labels by first appearance
+	for _, c := range assign {
+		if c >= 0 {
+			if count[c] == 0 {
+				order = append(order, c)
+			}
+			count[c]++
+		}
+	}
+	var cur []*community
+	kept := 0
+	for _, c := range order {
+		if int(count[c]) >= t.MinSize {
+			kept += int(count[c])
+		}
+	}
+	members := make([]graph.NodeID, kept)
+	at := int32(0)
+	for _, c := range order {
+		size := count[c]
+		if int(size) < t.MinSize {
+			count[c] = -1
+			continue
+		}
+		cur = append(cur, &community{nodes: members[at : at+size : at+size]})
+		count[c] = at
+		at += size
+	}
+	for u, c := range assign {
+		if c >= 0 && count[c] >= 0 {
+			members[count[c]] = graph.NodeID(u)
+			count[c]++
+		}
+	}
+	return cur
+}
+
+// pair is one nonzero overlap: ov members of previous community i are in
+// current community j.
+type pair struct{ i, j, ov int32 }
+
+// jaccard is the Jaccard similarity of two communities of sizes a and b
+// sharing inter members.
+func jaccard(inter, a, b int) float64 {
+	union := a + b - inter
+	if union == 0 {
+		return 0
+	}
+	return float64(inter) / float64(union)
+}
+
+// match assigns identities to cur communities and emits events. It
+// returns the matched similarity per cur community and the sum and count
+// of matched similarities. t.slot must map every cur member to its index.
+func (t *Tracker) match(day int32, cur []*community) (selfSim []float64, simSum float64, simCount int) {
+	selfSim = make([]float64, len(cur))
 	if t.prev == nil {
 		for _, c := range cur {
 			c.id = t.newID(day)
 		}
-		return 0, 0
+		return selfSim, 0, 0
 	}
-	// Inverted index: node -> previous community index.
-	prevOf := map[graph.NodeID]int{}
+	// Overlaps between prev i and cur j, counted per prev community into a
+	// dense per-slot counter. Pairs come out sorted by (i, j), the order
+	// in which equal-similarity ties break (lowest index).
+	var pairs []pair
+	cnt := make([]int32, len(cur))
+	var touched []int32
 	for i, p := range t.prev {
 		for _, u := range p.nodes {
-			prevOf[u] = i
-		}
-	}
-	// Overlaps between prev i and cur j. Iteration over pairs is sorted so
-	// that equal-similarity ties break deterministically (lowest index).
-	type pair struct{ i, j int }
-	overlap := map[pair]int{}
-	for j, c := range cur {
-		for _, u := range c.nodes {
-			if i, ok := prevOf[u]; ok {
-				overlap[pair{i, j}]++
+			if int(u) >= len(t.slot) {
+				continue
+			}
+			if j := t.slot[u]; j >= 0 {
+				if cnt[j] == 0 {
+					touched = append(touched, j)
+				}
+				cnt[j]++
 			}
 		}
-	}
-	pairs := make([]pair, 0, len(overlap))
-	for p := range overlap {
-		pairs = append(pairs, p)
-	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a].i != pairs[b].i {
-			return pairs[a].i < pairs[b].i
+		slices.Sort(touched)
+		for _, j := range touched {
+			pairs = append(pairs, pair{int32(i), j, cnt[j]})
+			cnt[j] = 0
 		}
-		return pairs[a].j < pairs[b].j
-	})
-	sim := func(i, j int) float64 {
-		inter := overlap[pair{i, j}]
-		union := len(t.prev[i].nodes) + len(cur[j].nodes) - inter
-		if union == 0 {
-			return 0
-		}
-		return float64(inter) / float64(union)
+		touched = touched[:0]
 	}
-	// containment(i, j) is the fraction of prev community i's nodes that
-	// ended up in cur community j. The paper's merge definition requires
-	// parents to "contribute most of their nodes" to the destination;
-	// below the threshold a vanishing community dissolved, not merged.
-	containment := func(i, j int) float64 {
-		return float64(overlap[pair{i, j}]) / float64(len(t.prev[i].nodes))
+	sim := func(p pair) float64 {
+		return jaccard(int(p.ov), len(t.prev[p.i].nodes), len(cur[p.j].nodes))
 	}
-	// Best matches in both directions.
+	// Best matches in both directions, and each prev community's
+	// destination: the cur community receiving most of its nodes.
 	bestNewFor := make([]int, len(t.prev)) // prev i -> cur j (or -1)
 	bestNewSim := make([]float64, len(t.prev))
+	bestDest := make([]int, len(t.prev)) // prev i -> argmax_j overlap, or -1
+	bestOv := make([]int, len(t.prev))
 	for i := range bestNewFor {
 		bestNewFor[i] = -1
+		bestDest[i] = -1
 	}
 	bestOldFor := make([]int, len(cur)) // cur j -> prev i (or -1)
 	bestOldSim := make([]float64, len(cur))
@@ -291,18 +366,29 @@ func (t *Tracker) match(day int32, cur []*community) (simSum float64, simCount i
 		bestOldFor[j] = -1
 	}
 	for _, p := range pairs {
-		s := sim(p.i, p.j)
+		s := sim(p)
 		if s > bestNewSim[p.i] {
-			bestNewSim[p.i], bestNewFor[p.i] = s, p.j
+			bestNewSim[p.i], bestNewFor[p.i] = s, int(p.j)
 		}
 		if s > bestOldSim[p.j] {
-			bestOldSim[p.j], bestOldFor[p.j] = s, p.i
+			bestOldSim[p.j], bestOldFor[p.j] = s, int(p.i)
 		}
+		if ov := int(p.ov); ov > bestOv[p.i] {
+			bestOv[p.i], bestDest[p.i] = ov, int(p.j)
+		}
+	}
+	// containment(i) is the fraction of prev community i's nodes that
+	// ended up in its destination. The paper's merge definition requires
+	// parents to "contribute most of their nodes" to the destination;
+	// below the threshold a vanishing community dissolved, not merged.
+	containment := func(i int) float64 {
+		return float64(bestOv[i]) / float64(len(t.prev[i].nodes))
 	}
 
 	// Identity assignment: claimants per cur community are the prev
 	// communities whose best (Jaccard) match is j; the most similar
-	// claimant carries its identity forward.
+	// claimant carries its identity forward. A claimant's similarity to j
+	// is its bestNewSim.
 	claimants := make([][]int, len(cur))
 	for i, j := range bestNewFor {
 		if j >= 0 {
@@ -322,14 +408,14 @@ func (t *Tracker) match(day int32, cur []*community) (simSum float64, simCount i
 		}
 		winner := cl[0]
 		for _, i := range cl[1:] {
-			if sim(i, j) > sim(winner, j) {
+			if bestNewSim[i] > bestNewSim[winner] {
 				winner = i
 			}
 		}
 		c.id = t.prev[winner].id
 		survivedAs[winner] = j
-		t.selfSim[c.id] = sim(winner, j)
-		simSum += sim(winner, j)
+		selfSim[j] = bestNewSim[winner]
+		simSum += bestNewSim[winner]
 		simCount++
 	}
 
@@ -340,18 +426,8 @@ func (t *Tracker) match(day int32, cur []*community) (simSum float64, simCount i
 	// (the union that "became" j) — used for sizes and the strongest-tie
 	// check of Fig 6c.
 	majority := make([][]int, len(cur))
-	bestDest := make([]int, len(t.prev)) // prev i -> argmax_j overlap, or -1
-	for i := range bestDest {
-		bestDest[i] = -1
-	}
-	bestOv := make([]int, len(t.prev))
-	for _, p := range pairs {
-		if ov := overlap[p]; ov > bestOv[p.i] {
-			bestOv[p.i], bestDest[p.i] = ov, p.j
-		}
-	}
 	for i := range t.prev {
-		if j := bestDest[i]; j >= 0 && containment(i, j) > t.mergeContainment() {
+		if j := bestDest[i]; j >= 0 && containment(i) > t.mergeContainment() {
 			majority[j] = append(majority[j], i)
 		}
 	}
@@ -360,12 +436,12 @@ func (t *Tracker) match(day int32, cur []*community) (simSum float64, simCount i
 			continue
 		}
 		j := bestDest[i]
-		if j < 0 || containment(i, j) <= t.mergeContainment() {
+		if j < 0 || containment(i) <= t.mergeContainment() {
 			// Dissolved: members scattered. Similarity records the best
 			// containment for diagnostics.
 			c := 0.0
 			if j >= 0 {
-				c = containment(i, j)
+				c = containment(i)
 			}
 			t.events = append(t.events, Event{Day: day, Type: Death, ID: p.id, Similarity: c})
 			if h := t.hist[p.id]; h != nil {
@@ -375,10 +451,11 @@ func (t *Tracker) match(day int32, cur []*community) (simSum float64, simCount i
 		}
 		// Merged into cur[j]. The union it merged with is every other
 		// majority contributor to j plus j's identity carrier.
-		unionIDs := map[int64]bool{cur[j].id: true}
+		tieComm := t.strongestTieOf(i)
+		inUnion := tieComm != 0 && tieComm == cur[j].id
 		sizeB := 0
 		for _, k := range majority[j] {
-			unionIDs[t.prev[k].id] = true
+			inUnion = inUnion || (tieComm != 0 && t.prev[k].id == tieComm)
 			if k != i && len(t.prev[k].nodes) > sizeB {
 				sizeB = len(t.prev[k].nodes)
 			}
@@ -386,16 +463,15 @@ func (t *Tracker) match(day int32, cur []*community) (simSum float64, simCount i
 		if sizeB == 0 {
 			sizeB = len(cur[j].nodes)
 		}
-		tieComm := t.strongestTieOf(p.id)
 		t.events = append(t.events, Event{
 			Day:              day,
 			Type:             Merge,
 			ID:               p.id,
 			Other:            cur[j].id,
-			Similarity:       sim(i, j),
+			Similarity:       jaccard(bestOv[i], len(p.nodes), len(cur[j].nodes)),
 			SizeA:            len(p.nodes),
 			SizeB:            sizeB,
-			StrongestTie:     tieComm != 0 && unionIDs[tieComm],
+			StrongestTie:     inUnion,
 			StrongestTieWith: tieComm,
 		})
 		if h := t.hist[p.id]; h != nil {
@@ -429,7 +505,7 @@ func (t *Tracker) match(day int32, cur []*community) (simSum float64, simCount i
 		})
 	}
 
-	return simSum, simCount
+	return selfSim, simSum, simCount
 }
 
 func (t *Tracker) newID(day int32) int64 {
@@ -439,23 +515,32 @@ func (t *Tracker) newID(day int32) int64 {
 	return id
 }
 
-// strongestTieOf returns the community with the most edges to `id` in the
-// previous snapshot, or 0 when id had no inter-community edges.
-func (t *Tracker) strongestTieOf(id int64) int64 {
-	ties := t.prevTie[id]
+// strongestTieOf returns the community with the most edges to prev
+// community i in the previous snapshot (the smallest id among equals), or
+// 0 when it had no inter-community edges.
+func (t *Tracker) strongestTieOf(i int) int64 {
 	var bestComm int64
 	var best int64 = -1
-	for c, n := range ties {
-		if n > best || (n == best && c < bestComm) {
-			best, bestComm = n, c
+	for _, tc := range t.prevTies[t.prevTieOff[i]:t.prevTieOff[i+1]] {
+		if tc.n > best {
+			best, bestComm = tc.n, tc.id
 		}
 	}
 	return bestComm
 }
 
-// recordFeatures appends this snapshot's Features for every live community.
-func (t *Tracker) recordFeatures(day int32, g graph.View, cur []*community, nodeComm map[graph.NodeID]int64) {
-	for _, c := range cur {
+// recordFeatures appends this snapshot's Features for every live community
+// and records the snapshot's inter-community edge counts for the next
+// match. Both come from one pass over each community's adjacency: an edge
+// to the same slot is intra, one to another slot counts toward that tie.
+// t.slot must map every cur member to its index.
+func (t *Tracker) recordFeatures(day int32, g graph.View, cur []*community, selfSim []float64) {
+	t.prevTieOff = make([]int, len(cur)+1)
+	t.prevTies = nil
+	cnt := make([]int64, len(cur))
+	var touched []int32
+	var nbrs []graph.NodeID
+	for j, c := range cur {
 		h := t.hist[c.id]
 		if h == nil {
 			h = &History{ID: c.id, Birth: day, Death: -1}
@@ -466,41 +551,34 @@ func (t *Tracker) recordFeatures(day int32, g graph.View, cur []*community, node
 		degSum := int64(0)
 		for _, u := range c.nodes {
 			degSum += int64(g.Degree(u))
-			g.ForEachNeighbor(u, func(v graph.NodeID) {
-				if nodeComm[v] == c.id {
+			nbrs = g.AppendNeighbors(nbrs[:0], u)
+			for _, v := range nbrs {
+				switch k := t.slot[v]; {
+				case k == int32(j):
 					intra++
+				case k >= 0:
+					if cnt[k] == 0 {
+						touched = append(touched, k)
+					}
+					cnt[k]++
 				}
-			})
+			}
 		}
+		row := len(t.prevTies)
+		for _, k := range touched {
+			t.prevTies = append(t.prevTies, tie{cur[k].id, cnt[k]})
+			cnt[k] = 0
+		}
+		touched = touched[:0]
+		slices.SortFunc(t.prevTies[row:], func(a, b tie) int { return cmp.Compare(a.id, b.id) })
+		t.prevTieOff[j+1] = len(t.prevTies)
+
 		inRatio := 0.0
 		if degSum > 0 {
 			inRatio = float64(intra) / float64(degSum) // intra counted twice / degsum
 		}
-		h.Features = append(h.Features, Features{Day: day, Size: len(c.nodes), InRatio: inRatio, SelfSim: t.selfSim[c.id]})
+		h.Features = append(h.Features, Features{Day: day, Size: len(c.nodes), InRatio: inRatio, SelfSim: selfSim[j]})
 	}
-}
-
-// interCommunityTies counts edges between tracked communities.
-func interCommunityTies(g graph.View, nodeComm map[graph.NodeID]int64) map[int64]map[int64]int64 {
-	out := map[int64]map[int64]int64{}
-	g.ForEachEdge(func(u, v graph.NodeID) {
-		cu, okU := nodeComm[u]
-		cv, okV := nodeComm[v]
-		if !okU || !okV || cu == cv {
-			return
-		}
-		add := func(a, b int64) {
-			m := out[a]
-			if m == nil {
-				m = map[int64]int64{}
-				out[a] = m
-			}
-			m[b]++
-		}
-		add(cu, cv)
-		add(cv, cu)
-	})
-	return out
 }
 
 // Events returns all lifecycle events recorded so far.
