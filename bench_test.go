@@ -15,10 +15,12 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -653,20 +655,35 @@ var (
 	kernelErr  error
 )
 
-// kernelSnapshots builds the kernel benchmarks' input once: the default
+var (
+	kernelTrOnce sync.Once
+	kernelTr     *trace.Trace
+	kernelTrErr  error
+)
+
+// kernelTrace generates the kernel benchmarks' trace once: the default
 // preset, or the test-scale preset under -short.
-func kernelSnapshots(b *testing.B) *kernelInput {
+func kernelTrace(b *testing.B) *trace.Trace {
 	b.Helper()
-	kernelOnce.Do(func() {
+	kernelTrOnce.Do(func() {
 		gcfg := gen.DefaultConfig()
 		if testing.Short() {
 			gcfg = gen.SmallConfig()
 		}
-		tr, err := gen.Generate(gcfg)
-		if err != nil {
-			kernelErr = err
-			return
-		}
+		kernelTr, kernelTrErr = gen.Generate(gcfg)
+	})
+	if kernelTrErr != nil {
+		b.Fatal(kernelTrErr)
+	}
+	return kernelTr
+}
+
+// kernelSnapshots builds the community kernel benchmarks' input once from
+// kernelTrace.
+func kernelSnapshots(b *testing.B) *kernelInput {
+	b.Helper()
+	tr := kernelTrace(b)
+	kernelOnce.Do(func() {
 		last := tr.Events[len(tr.Events)-1].Day
 		in := &kernelInput{day: last}
 		st, err := trace.Replay(tr.Events, trace.Hooks{OnDayEnd: func(st *trace.State, day int32) {
@@ -752,6 +769,40 @@ func BenchmarkTrackerAdvance(b *testing.B) {
 		if i == 0 {
 			b.Logf("%d nodes: %d tracked communities, avg similarity %.3f", in.cur.NumNodes(), len(snap.Communities), snap.AvgSimilarity)
 		}
+	}
+}
+
+// BenchmarkPathSampler times one Fig 1d path-length sample (100 sources)
+// on the live graph at the trace's last path-length day under the default
+// pipeline cadences, sequentially and fanned out over GOMAXPROCS workers.
+func BenchmarkPathSampler(b *testing.B) {
+	tr := kernelTrace(b)
+	cfg := core.DefaultConfig()
+	last := tr.Events[len(tr.Events)-1].Day
+	day := last - last%cfg.PathEvery
+	for day%cfg.MetricsEvery != 0 {
+		day -= cfg.PathEvery
+	}
+	end := sort.Search(len(tr.Events), func(i int) bool { return tr.Events[i].Day > day })
+	st, err := trace.Replay(tr.Events[:end], trace.Hooks{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g := st.Graph
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			p := metrics.PathSampler{Workers: workers}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pl, err := p.Sample(g, cfg.PathSources, rand.New(stats.NewSource(cfg.Seed)))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == 0 {
+					b.Logf("day %d, %d nodes: path length %.4f", day, g.NumNodes(), pl)
+				}
+			}
+		})
 	}
 }
 

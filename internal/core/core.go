@@ -26,9 +26,12 @@ import (
 // Config selects and parameterizes the pipeline stages.
 type Config struct {
 	// MetricsEvery is the cadence (days) of degree/clustering/
-	// assortativity measurements; PathEvery of sampled path length
-	// (the paper computes path length every 3 days with 1000 sources;
-	// the scaled defaults are 3 and 9/100).
+	// assortativity measurements. PathEvery is the cadence of sampled
+	// path length, which is stored in that day's metrics row, so it is
+	// measured only on days that are multiples of both: PathEvery=20
+	// with MetricsEvery=3 samples every 60 days. (The paper computes
+	// path length every 3 days with 1000 sources; the scaled defaults
+	// are 3 and 9/100.)
 	MetricsEvery int32
 	PathEvery    int32
 	// PathSources is the number of BFS sources for path length.

@@ -7,31 +7,15 @@ const Unreachable = -1
 // BFS computes hop distances from src to every node. The result slice has
 // one entry per node; unreachable nodes get Unreachable.
 func (g *Graph) BFS(src NodeID) []int32 {
-	dist, _ := g.BFSInto(src, nil, nil)
-	return dist
-}
-
-// BFSInto is BFS with caller-owned scratch: dist and queue are grown as
-// needed and returned for reuse, so repeated traversals (the sampled
-// path-length estimator runs hundreds per snapshot) allocate nothing after
-// the first call. Pass nil slices on first use.
-func (g *Graph) BFSInto(src NodeID, dist []int32, queue []NodeID) ([]int32, []NodeID) {
 	n := len(g.deg)
-	if cap(dist) < n {
-		dist = make([]int32, n)
-	} else {
-		dist = dist[:n]
-	}
+	dist := make([]int32, n)
 	for i := range dist {
 		dist[i] = Unreachable
 	}
 	if src < 0 || int(src) >= n {
-		return dist, queue
+		return dist
 	}
-	if cap(queue) == 0 {
-		queue = make([]NodeID, 0, 64)
-	}
-	queue = append(queue[:0], src)
+	queue := []NodeID{src}
 	dist[src] = 0
 	for head := 0; head < len(queue); head++ {
 		u := queue[head]
@@ -48,26 +32,42 @@ func (g *Graph) BFSInto(src NodeID, dist []int32, queue []NodeID) ([]int32, []No
 			}
 		}
 	}
-	return dist, queue
+	return dist
 }
 
-// BFSWithin is like BFS but only traverses nodes for which allowed returns
-// true (the source is always traversed). A nil predicate allows all nodes.
-// This supports the paper's inter-OSN distance experiment, which excludes
-// post-merge users and their edges (Fig 9c).
-func (g *Graph) BFSWithin(src NodeID, allowed func(NodeID) bool) []int32 {
-	dist := make([]int32, len(g.deg))
-	for i := range dist {
-		dist[i] = Unreachable
-	}
+// SetSearch is caller-owned scratch for ShortestToSet: a distance column
+// over node ids and a head-indexed queue. The queue holds every node a
+// search labelled, so the search wipes exactly those entries back to
+// Unreachable before it returns, and a reused SetSearch costs each search
+// only the nodes it visits. The zero value is ready to use; a SetSearch
+// must not be shared by concurrent searches.
+type SetSearch struct {
+	dist  []int32
+	queue []NodeID
+}
+
+// ShortestToSet returns the hop distance from src to the nearest node for
+// which target returns true, traversing only allowed nodes (nil allows all).
+// Target nodes themselves must be allowed to be reached. It returns
+// Unreachable when no target can be reached. This is the paper's inter-OSN
+// distance experiment, which excludes post-merge users and their edges
+// (Fig 9c).
+func (g *Graph) ShortestToSet(src NodeID, target func(NodeID) bool, allowed func(NodeID) bool, sc *SetSearch) int32 {
 	if src < 0 || int(src) >= len(g.deg) {
-		return dist
+		return Unreachable
 	}
-	queue := []NodeID{src}
+	if target(src) {
+		return 0
+	}
+	sc.dist = growInt32(sc.dist, len(g.deg), Unreachable)
+	dist := sc.dist
+	queue := append(sc.queue[:0], src)
 	dist[src] = 0
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
+	found := int32(Unreachable)
+search:
+	for head := 0; head < len(queue); head++ {
+		u := queue[head]
+		du := dist[u]
 		for it := g.Chunks(u); ; {
 			s := it.Next()
 			if s == nil {
@@ -80,63 +80,18 @@ func (g *Graph) BFSWithin(src NodeID, allowed func(NodeID) bool) []int32 {
 				if allowed != nil && !allowed(v) {
 					continue
 				}
-				dist[v] = dist[u] + 1
-				queue = append(queue, v)
-			}
-		}
-	}
-	return dist
-}
-
-// ShortestToSet returns the hop distance from src to the nearest node for
-// which target returns true, traversing only allowed nodes (nil allows all).
-// Target nodes themselves must be allowed to be reached. It returns
-// Unreachable when no target can be reached.
-func (g *Graph) ShortestToSet(src NodeID, target func(NodeID) bool, allowed func(NodeID) bool) int32 {
-	if src < 0 || int(src) >= len(g.deg) {
-		return Unreachable
-	}
-	if target(src) {
-		return 0
-	}
-	dist := make(map[NodeID]int32, 1024)
-	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		du := dist[u]
-		for it := g.Chunks(u); ; {
-			s := it.Next()
-			if s == nil {
-				break
-			}
-			for _, v := range s {
-				if _, seen := dist[v]; seen {
-					continue
-				}
-				if allowed != nil && !allowed(v) {
-					continue
-				}
 				if target(v) {
-					return du + 1
+					found = du + 1
+					break search
 				}
 				dist[v] = du + 1
 				queue = append(queue, v)
 			}
 		}
 	}
-	return Unreachable
-}
-
-// ComponentOf returns all nodes in the connected component containing src.
-func (g *Graph) ComponentOf(src NodeID) []NodeID {
-	dist := g.BFS(src)
-	var out []NodeID
-	for i, d := range dist {
-		if d != Unreachable {
-			out = append(out, NodeID(i))
-		}
+	for _, v := range queue {
+		dist[v] = Unreachable
 	}
-	return out
+	sc.queue = queue
+	return found
 }

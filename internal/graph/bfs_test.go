@@ -54,80 +54,86 @@ func TestBFSBadSource(t *testing.T) {
 	}
 }
 
-func TestBFSWithinPredicate(t *testing.T) {
-	// 0-1-2 and 0-3-2: blocking node 1 forces the longer route.
-	g := New(0)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(0, 3)
-	g.AddEdge(3, 2)
-	d := g.BFSWithin(0, func(v NodeID) bool { return v != 1 })
-	if d[1] != Unreachable {
-		t.Fatalf("blocked node reached: %v", d)
-	}
-	if d[2] != 2 {
-		t.Fatalf("dist[2] = %d, want 2 via 3", d[2])
-	}
-	// nil predicate behaves like BFS.
-	d2 := g.BFSWithin(0, nil)
-	d3 := g.BFS(0)
-	for i := range d2 {
-		if d2[i] != d3[i] {
-			t.Fatalf("nil predicate mismatch at %d", i)
-		}
-	}
-}
-
 func TestShortestToSet(t *testing.T) {
 	g := path(6)
 	target := func(v NodeID) bool { return v == 4 || v == 5 }
-	if d := g.ShortestToSet(0, target, nil); d != 4 {
+	var sc SetSearch
+	if d := g.ShortestToSet(0, target, nil, &sc); d != 4 {
 		t.Fatalf("dist = %d, want 4", d)
 	}
-	if d := g.ShortestToSet(4, target, nil); d != 0 {
+	if d := g.ShortestToSet(4, target, nil, &sc); d != 0 {
 		t.Fatalf("src in target set: dist = %d, want 0", d)
 	}
 	// Blocked by predicate.
-	if d := g.ShortestToSet(0, target, func(v NodeID) bool { return v != 3 }); d != Unreachable {
+	if d := g.ShortestToSet(0, target, func(v NodeID) bool { return v != 3 }, &sc); d != Unreachable {
 		t.Fatalf("dist = %d, want unreachable when cut", d)
 	}
-	if d := g.ShortestToSet(-1, target, nil); d != Unreachable {
+	if d := g.ShortestToSet(-1, target, nil, &sc); d != Unreachable {
 		t.Fatalf("bad src: %d", d)
 	}
 }
 
+// bfsAllowed is the reference ShortestToSet is checked against: a plain
+// BFS from src that enters a node only if allowed admits it (nil admits
+// every node; the source is always entered).
+func bfsAllowed(g *Graph, src NodeID, allowed func(NodeID) bool) []int32 {
+	dist := make([]int32, g.NumNodes())
+	for i := range dist {
+		dist[i] = Unreachable
+	}
+	dist[src] = 0
+	for queue := []NodeID{src}; len(queue) > 0; queue = queue[1:] {
+		u := queue[0]
+		g.ForEachNeighbor(u, func(v NodeID) {
+			if dist[v] == Unreachable && (allowed == nil || allowed(v)) {
+				dist[v] = dist[u] + 1
+				queue = append(queue, v)
+			}
+		})
+	}
+	return dist
+}
+
+// TestShortestToSetMatchesBFS holds ShortestToSet to the nearest target of
+// a full restricted BFS, under random target sets and allowed predicates
+// (nil included), with one SetSearch reused across every call while the
+// graph grows: a stale distance left by an early exit would show as a
+// wrong or missing route on a later call.
 func TestShortestToSetMatchesBFS(t *testing.T) {
 	rng := stats.NewRand(5)
 	g := New(0)
-	const n = 60
-	for i := 0; i < 150; i++ {
-		g.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
-	}
-	g.EnsureNode(n - 1)
-	targets := map[NodeID]bool{7: true, 23: true, 41: true}
-	target := func(v NodeID) bool { return targets[v] }
-	for src := NodeID(0); src < n; src++ {
-		want := int32(Unreachable)
-		d := g.BFS(src)
-		for v := range targets {
-			if d[v] != Unreachable && (want == Unreachable || d[v] < want) {
-				want = d[v]
+	var sc SetSearch
+	n := 0
+	for round := 0; round < 6; round++ {
+		n += 40
+		for i := 0; i < 100; i++ {
+			g.AddEdge(NodeID(rng.Intn(n)), NodeID(rng.Intn(n)))
+		}
+		g.EnsureNode(NodeID(n + 5)) // a few isolated nodes
+		for trial := 0; trial < 8; trial++ {
+			isTarget := make([]bool, g.NumNodes())
+			isAllowed := make([]bool, g.NumNodes())
+			for v := range isTarget {
+				isTarget[v] = rng.Intn(12) == 0
+				isAllowed[v] = rng.Intn(4) != 0
+			}
+			target := func(v NodeID) bool { return isTarget[v] }
+			allowed := func(v NodeID) bool { return isAllowed[v] }
+			if trial%3 == 0 {
+				allowed = nil
+			}
+			for src := NodeID(0); int(src) < g.NumNodes(); src++ {
+				want := int32(Unreachable)
+				for v, d := range bfsAllowed(g, src, allowed) {
+					if isTarget[v] && d != Unreachable && (want == Unreachable || d < want) {
+						want = d
+					}
+				}
+				if got := g.ShortestToSet(src, target, allowed, &sc); got != want {
+					t.Fatalf("round %d trial %d src %d: got %d want %d", round, trial, src, got, want)
+				}
 			}
 		}
-		if got := g.ShortestToSet(src, target, nil); got != want {
-			t.Fatalf("src %d: got %d want %d", src, got, want)
-		}
-	}
-}
-
-func TestComponentOf(t *testing.T) {
-	g := New(0)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	g.AddEdge(4, 5)
-	comp := g.ComponentOf(1)
-	if len(comp) != 3 {
-		t.Fatalf("component = %v", comp)
 	}
 }
 

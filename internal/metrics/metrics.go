@@ -9,6 +9,7 @@ package metrics
 
 import (
 	"errors"
+	"math/bits"
 	"math/rand"
 	"sync"
 
@@ -175,31 +176,38 @@ func SampledPathLength(g *graph.Graph, k int, rng *rand.Rand) (float64, error) {
 	return ps.Sample(g, k, rng)
 }
 
-// PathSampler is SampledPathLength with reusable BFS scratch buffers, for
-// callers (the streaming metrics stage) that measure many snapshots: the
-// per-source distance and queue slices are allocated once and reused.
+// PathSampler is SampledPathLength with a worker fan-out, for callers
+// (the streaming metrics stage) that measure many snapshots.
 //
-// With Workers > 1 the BFS sources fan out across that many goroutines,
-// each with private scratch. The estimate is bit-identical to the
-// sequential one: source selection happens before the fan-out (the rng
-// draw sequence is unchanged), sources are split into contiguous chunks,
-// and each chunk's distance sum and pair count — integer-valued, far
-// below 2^53 — are reduced in chunk order, so no float rounding can
-// depend on scheduling.
+// The estimate needs only the sum of source-to-node distances and the
+// number of reachable pairs, never one source's distance column, so the
+// sources share their traversals. They are cut into batches of up to 64,
+// and each batch runs as one multi-source BFS (Then et al., VLDB 2015):
+// bit i of a node's 64-bit word stands for source i of the batch, and
+// each level scans a frontier node's adjacency once for every source that
+// reached it at that distance. Distances are summed as integers; the
+// result is the same float64 the per-source sum gives, because every
+// partial sum is an integer far below 2^53 (see DESIGN §11).
+//
+// With Workers > 1 the batches fan out across that many goroutines, each
+// with private columns. Source selection happens before the fan-out (the
+// rng draw sequence is unchanged) and integer totals do not depend on
+// scheduling, so the estimate is bit-identical at any width. The columns
+// live for one Sample and serve all of its batches; they are not kept
+// between snapshots, which a growing graph would outgrow anyway.
 type PathSampler struct {
-	// Workers is the fan-out width for the per-source BFS sweep; <= 1
-	// runs sequentially.
+	// Workers is the fan-out width for the batch sweep; <= 1 runs
+	// sequentially.
 	Workers int
-
-	dist    []int32
-	queue   []graph.NodeID
-	scratch []pathScratch
 }
 
-// pathScratch is one worker's private BFS buffers.
-type pathScratch struct {
-	dist  []int32
-	queue []graph.NodeID
+// bfsColumns is one worker's multi-source BFS state: one word per node
+// in each column, bit i standing for source i of the batch. seen holds
+// the sources that have reached the node, visit those that reached it at
+// the current level (the frontier), next those reaching it at the coming
+// one. All three are zero between batches.
+type bfsColumns struct {
+	seen, visit, next []uint64
 }
 
 // Sample estimates the average shortest-path length exactly as
@@ -221,70 +229,94 @@ func (p *PathSampler) Sample(g *graph.Graph, k int, rng *rand.Rand) (float64, er
 	if count == 0 {
 		return 0, ErrNoSample
 	}
-	return total / float64(count), nil
+	return float64(total) / float64(count), nil
 }
 
-// sweep runs BFS from every source and accumulates the distance total and
-// reachable-pair count, sequentially or fanned out per Workers.
-func (p *PathSampler) sweep(g *graph.Graph, sources []graph.NodeID) (float64, int64) {
-	workers := p.Workers
-	if workers > len(sources) {
-		workers = len(sources)
+// sweep runs one multi-source BFS per batch of 64 sources and returns the
+// distance total and reachable-pair count, with the batches fanned out
+// per Workers.
+func (p *PathSampler) sweep(g *graph.Graph, sources []graph.NodeID) (total, count int64) {
+	n := g.NumNodes()
+	batches := (len(sources) + 63) / 64
+	workers := min(max(p.Workers, 1), batches)
+	sums := make([][2]int64, batches)
+	run := func(w int) {
+		c := bfsColumns{seen: make([]uint64, n), visit: make([]uint64, n), next: make([]uint64, n)}
+		for b := w; b < batches; b += workers {
+			sums[b][0], sums[b][1] = c.run(g, sources[b*64:min(b*64+64, len(sources))])
+		}
 	}
-	if workers <= 1 {
-		var total float64
-		var count int64
-		for _, s := range sources {
-			p.dist, p.queue = g.BFSInto(s, p.dist, p.queue)
-			for v, d := range p.dist {
-				if d > 0 && graph.NodeID(v) != s {
-					total += float64(d)
-					count++
+	if workers == 1 {
+		run(0)
+	} else {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				run(w)
+			}(w)
+		}
+		wg.Wait()
+	}
+	for _, s := range sums {
+		total += s[0]
+		count += s[1]
+	}
+	return total, count
+}
+
+// run is one multi-source BFS from up to 64 sources. Level by level, every
+// frontier node ORs its visit word into its neighbours' next words; the
+// bits of next not yet seen are the (source, node) pairs at that level's
+// distance. It stops at the first level that adds no pair and returns the
+// sum of the distances and the pair count, leaving every column zero.
+//
+// Both passes of a level sweep all n words in node order; only the
+// adjacency scan is frontier-sized. On small-world snapshots (a dozen
+// levels) the sweeps cost a few percent of the scan. On a graph whose
+// eccentricities run into the hundreds they would outweigh it, and a
+// per-source BFS would be cheaper.
+func (c *bfsColumns) run(g *graph.Graph, sources []graph.NodeID) (total, count int64) {
+	seen, visit, next := c.seen, c.visit, c.next
+	for i, s := range sources {
+		seen[s] |= 1 << i
+		visit[s] |= 1 << i
+	}
+	for level := int64(1); ; level++ {
+		for u, x := range visit {
+			if x == 0 {
+				continue
+			}
+			visit[u] = 0
+			for it := g.Chunks(graph.NodeID(u)); ; {
+				s := it.Next()
+				if s == nil {
+					break
+				}
+				for _, v := range s {
+					next[v] |= x
 				}
 			}
 		}
-		return total, count
-	}
-	if len(p.scratch) < workers {
-		p.scratch = append(p.scratch, make([]pathScratch, workers-len(p.scratch))...)
-	}
-	totals := make([]float64, workers)
-	counts := make([]int64, workers)
-	chunk := (len(sources) + workers - 1) / workers
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		lo, hi := i*chunk, (i+1)*chunk
-		if hi > len(sources) {
-			hi = len(sources)
-		}
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(i, lo, hi int) {
-			defer wg.Done()
-			sc := &p.scratch[i]
-			var total float64
-			var count int64
-			for _, s := range sources[lo:hi] {
-				sc.dist, sc.queue = g.BFSInto(s, sc.dist, sc.queue)
-				for v, d := range sc.dist {
-					if d > 0 && graph.NodeID(v) != s {
-						total += float64(d)
-						count++
-					}
-				}
+		var added int64
+		for v, x := range next {
+			if x == 0 {
+				continue
 			}
-			totals[i], counts[i] = total, count
-		}(i, lo, hi)
+			next[v] = 0
+			x &^= seen[v]
+			seen[v] |= x
+			visit[v] = x
+			added += int64(bits.OnesCount64(x))
+		}
+		if added == 0 {
+			break
+		}
+		count += added
+		total += level * added
 	}
-	wg.Wait()
-	var total float64
-	var count int64
-	for i := 0; i < workers; i++ {
-		total += totals[i]
-		count += counts[i]
-	}
+	clear(seen)
 	return total, count
 }
 

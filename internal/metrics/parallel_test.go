@@ -49,8 +49,8 @@ func TestPathSamplerParallelBitIdentical(t *testing.T) {
 	}
 }
 
-// TestPathSamplerScratchReuse: repeated parallel samples on a growing
-// graph reuse per-worker scratch without corrupting results.
+// TestPathSamplerScratchReuse: repeated parallel samples by one sampler
+// on a growing graph match the sequential ones.
 func TestPathSamplerScratchReuse(t *testing.T) {
 	g := pathTestGraph(1000, 1500, 3)
 	par := PathSampler{Workers: 4}

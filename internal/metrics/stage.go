@@ -26,7 +26,10 @@ type GrowthDay struct {
 // StageOptions parameterizes the streaming Fig 1 stage.
 type StageOptions struct {
 	// MetricsEvery is the cadence (days) of degree/clustering/
-	// assortativity measurements; PathEvery of sampled path length.
+	// assortativity measurements. PathEvery is the cadence of sampled
+	// path length, which is stored in that day's Snapshot row, so it is
+	// measured only on days that are multiples of both: PathEvery=20
+	// with MetricsEvery=3 samples every 60 days.
 	MetricsEvery int32
 	PathEvery    int32
 	// PathSources is the number of BFS sources for path length.
@@ -35,7 +38,7 @@ type StageOptions struct {
 	ClusteringSamples int
 	// Seed drives the sampled estimators.
 	Seed int64
-	// Workers is the fan-out width of the sampled-BFS path-length sweep
+	// Workers is the fan-out width of the sampled path-length sweep
 	// (<= 1 sequential). A throughput knob only: the estimate is
 	// bit-identical at any width (see PathSampler), so it is deliberately
 	// not part of the checkpoint config fingerprint.

@@ -50,6 +50,8 @@ type Stage struct {
 	xiaonei   []graph.NodeID
 	fiveQ     []graph.NodeID
 	distances []DistancePoint
+	// search is the inter-OSN distance BFS's reusable scratch.
+	search graph.SetSearch
 
 	res *Result
 }
@@ -184,7 +186,7 @@ func (s *Stage) OnDayEnd(st *trace.State, day int32) {
 		var n int
 		for i := 0; i < s.opt.DistanceSamples; i++ {
 			src := sources[s.rng.Intn(len(sources))]
-			d := st.Graph.ShortestToSet(src, isTarget, preMerge)
+			d := st.Graph.ShortestToSet(src, isTarget, preMerge, &s.search)
 			if d >= 0 {
 				sum += float64(d)
 				n++
